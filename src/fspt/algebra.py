@@ -50,10 +50,6 @@ class OperatorAlgebra:
     def contains(self, mat: np.ndarray, tol: float = 1e-8) -> bool:
         return linalg.in_span(self.basis_rows, mat, tol)
 
-    def project(self, mat: np.ndarray) -> np.ndarray:
-        row = linalg.project_rows(self.basis_rows, vec(mat))
-        return unvec(row, self.ambient)
-
     def conjugated(self, t: np.ndarray) -> "OperatorAlgebra":
         """Image under Ad_T, T unitary; orthonormality is preserved."""
         move = lambda mats: np.einsum("ij,ajk,lk->ail", t, mats, t.conj())

@@ -67,7 +67,7 @@ def _cmd_cohomologous(args) -> dict:
     out = {"cohomologous": ok, "modulus": modulus}
     if ok:
         out["witness"] = {"b": [serialize.phase_to_json(p) for p in witness.b]}
-    else:
+    elif args.modulus or not (u1.is_exact and u2.is_exact):
         out["caveat"] = MODULUS_CAVEAT.replace("{M}", str(modulus))
     return out
 

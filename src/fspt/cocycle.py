@@ -1,14 +1,14 @@
 """Twisted U(1)-valued 2-cocycles on finite groups and their cohomology.
 
-A twisted cocycle stores a table of :class:`Phase` values indexed by group
-element pairs.  Elements g with twist p(g) = 1 act on coefficients by
-complex conjugation, which shows up in the cocycle identity and in the
-coboundary that defines cohomological equivalence.
+An exact cocycle is an int64 exponent table on N-th roots of unity; a table
+with any floating entry is complex128 and checked with tolerance ``tol`` on
+every triple.  Elements g with twist p(g) = 1 act by complex conjugation.
 
-Equivalence is decided exactly: phases are snapped onto a root-of-unity
-lattice Z_M and the coboundary condition becomes a system of linear
-congruences mod M, solved by integer diagonalization.  A negative verdict
-is therefore certified only relative to the chosen lattice modulus.
+Equivalence is decided exactly: phases are snapped onto a root lattice Z_M
+and the coboundary condition becomes linear congruences mod M, solved by
+integer diagonalization.  |G| annihilates H^n(G, U(1)_p) (Brown, Cohomology
+of Groups, III.10), so for exact inputs the default modulus is complete and
+a False verdict is final; otherwise it holds only relative to Z_M.
 """
 
 from __future__ import annotations
@@ -24,62 +24,127 @@ from .errors import (
     NotNormalized,
     NotProjectiveRep,
     NotRootOfUnity,
+    SizeTooLarge,
 )
 from .group import FiniteGroup, Z2Hom, trivial_hom
 from .phase import Phase
-from .rep import ProjectiveRep, adjoint, compose
+from .rep import ProjectiveRep
 from .smith import solve_congruence
+
+
+def _check_order(N: int, what: str = "common root order") -> None:
+    if 4 * N >= 2**63:  # the four-term defect of exponents below N must fit int64
+        raise SizeTooLarge(f"{what} {N} is too large for int64 exponent arithmetic")
+
+
+def _roots(k: np.ndarray, N: int) -> np.ndarray:
+    """exp(2 pi i k / N), with -1 exact as in Phase.value."""
+    z = np.exp(2j * np.pi * (k / N))
+    z[2 * k == N] = -1.0
+    return z
+
+
+def _pack(values, shape: tuple, tol: float) -> tuple[np.ndarray, int]:
+    """(int64 exponents, N) of exact phases on their lcm order N, else (complex128, 0)."""
+    raw = np.asarray(values, dtype=object)
+    if raw.shape != shape:
+        raise NotNormalized(f"expected a {' x '.join(map(str, shape))} table")
+    phases = [Phase.coerce(x, tol) for x in raw.flat]
+    if not all(p.is_exact for p in phases):
+        return np.array([p.value for p in phases], dtype=complex).reshape(shape), 0
+    N = lcm(*(p.N for p in phases))
+    _check_order(N)
+    return np.array([p.k * (N // p.N) for p in phases], dtype=np.int64).reshape(shape), N
 
 
 @dataclass(frozen=True, eq=False)
 class TwistedCocycle:
-    """A table v: G x G -> U(1) satisfying the p-twisted cocycle identity."""
+    """A table v: G x G -> U(1) satisfying the p-twisted cocycle identity.
+
+    ``table`` holds int64 exponents on the N-th roots, or complex128 values
+    with N = 0.  Any other table (e.g. of Phase) is packed unchecked.
+    """
 
     group: FiniteGroup
     twist: Z2Hom
-    table: np.ndarray  # (n, n) object array of Phase
+    table: np.ndarray
+    N: int = 0
+
+    def __post_init__(self):
+        if getattr(self.table, "dtype", None) not in (np.int64, np.complex128):
+            table, N = _pack(self.table, (self.group.n,) * 2, 1e-9)
+            object.__setattr__(self, "table", table)
+            object.__setattr__(self, "N", N)
 
     @property
     def n(self) -> int:
         return self.group.n
 
     def __call__(self, g: int, h: int) -> Phase:
-        return self.table[g, h]
+        if self.N:
+            return Phase.exact(int(self.table[g, h]), self.N)
+        return Phase(0, 0, complex(self.table[g, h]))
 
     @property
     def is_exact(self) -> bool:
-        return all(p.is_exact for p in self.table.flat)
+        return self.N > 0
 
     def root_orders(self) -> list[int]:
-        return [p.N for p in self.table.flat if p.is_exact]
+        return [int(o) for o in (self.N // np.gcd(self.table, self.N)).flat] if self.N else []
+
+    def values(self) -> np.ndarray:
+        """The complex128 table of all entries."""
+        return _roots(self.table, self.N) if self.N else self.table
 
     def close_to(self, other: "TwistedCocycle", tol: float = 1e-9) -> bool:
-        return all(
-            self.table[g, h].close_to(other.table[g, h], tol)
-            for g in self.group.elements()
-            for h in self.group.elements()
-        )
+        if self.is_exact and other.is_exact:  # equal as reduced fractions k/N
+            g1, g2 = np.gcd(self.table, self.N), np.gcd(other.table, other.N)
+            same = np.array_equal(self.table // g1, other.table // g2)
+            return same and np.array_equal(self.N // g1, other.N // g2)
+        return bool(np.all(np.abs(self.values() - other.values()) <= tol))
 
 
-def _phase_table(group: FiniteGroup, values, tol: float) -> np.ndarray:
-    raw = np.asarray(values, dtype=object)
-    if raw.shape != (group.n, group.n):
-        raise NotNormalized(f"expected a {group.n} x {group.n} table")
-    table = np.empty((group.n, group.n), dtype=object)
-    for g in group.elements():
-        for h in group.elements():
-            table[g, h] = Phase.coerce(raw[g, h], tol)
-    return table
+def _exact(group, twist, table, N: int) -> TwistedCocycle:
+    """The exact cocycle with these exponents, N reduced to the lcm of orders."""
+    table = np.asarray(table, dtype=np.int64) % N
+    g = int(np.gcd.reduce(table.ravel(), initial=N))
+    return TwistedCocycle(group, twist, table // g, N // g)
 
 
 def cocycle_defect(
     u: TwistedCocycle, f: int, g: int, h: int
 ) -> Phase:
-    """conj^p(f)(v(g,h)) v(f,gh) / (v(f,g) v(fg,h)); equals 1 for a cocycle."""
+    """conj^p(f)(v(g,h)) v(f,gh) / (v(f,g) v(fg,h)); equals 1 for a cocycle.
+
+    The scalar reference for the broadcast in :func:`validate_cocycle`.
+    """
     grp, p = u.group, u.twist
     num = u(g, h).conj_pow(p(f)) * u(f, grp.mul(g, h))
     den = u(f, g) * u(grp.mul(f, g), h)
     return num * den.inverse()
+
+
+def _checked(u: TwistedCocycle, tol: float = 1e-9) -> TwistedCocycle:
+    """Check normalization, then the twisted identity on every (f,g,h) at once."""
+    a, T, e = u.table, u.group.table, u.group.identity
+    ones = a == 0 if u.N else np.abs(a - 1.0) <= tol
+    bad = ~(ones[e, :] & ones[:, e])
+    if bad.any():
+        g = int(np.argmax(bad))
+        raise NotNormalized(f"v(e,{g}) or v({g},e) differs from 1")
+    if u.N:
+        s = (1 - 2 * u.twist.values)[:, None, None]  # (-1)^p(f) acting on exponents
+        fails = (s * a[None] + a[:, T] - a[:, :, None] - a[T]) % u.N != 0
+    else:
+        flip = (u.twist.values == 1)[:, None, None]
+        num = np.where(flip, a.conj()[None], a[None]) * a[:, T]
+        fails = ~(np.abs(num * (a[:, :, None] * a[T]).conj() - 1.0) <= tol)
+    if fails.any():
+        f, g, h = (int(i) for i in np.argwhere(fails)[0])
+        raise CocycleIdentityFails(
+            f"twisted cocycle identity fails at (f,g,h)=({f},{g},{h})"
+        )
+    return u
 
 
 def validate_cocycle(
@@ -88,40 +153,18 @@ def validate_cocycle(
     """Check normalization and the twisted 2-cocycle identity."""
     if not twist.group.same_as(group):
         raise MismatchedGroup("twist lives on a different group")
-    table = _phase_table(group, values, tol)
-    e = group.identity
-    for g in group.elements():
-        if not table[e, g].is_one(tol) or not table[g, e].is_one(tol):
-            raise NotNormalized(f"v(e,{g}) or v({g},e) differs from 1")
-    u = TwistedCocycle(group, twist, table)
-    for f in group.elements():
-        for g in group.elements():
-            for h in group.elements():
-                if not cocycle_defect(u, f, g, h).is_one(tol):
-                    raise CocycleIdentityFails(
-                        f"twisted cocycle identity fails at (f,g,h)=({f},{g},{h})"
-                    )
-    return u
+    table, N = _pack(values, (group.n, group.n), tol)
+    return _checked(TwistedCocycle(group, twist, table, N), tol)
 
 
 def trivial_cocycle(group: FiniteGroup, twist: Z2Hom | None = None) -> TwistedCocycle:
     twist = twist if twist is not None else trivial_hom(group)
-    table = np.empty((group.n, group.n), dtype=object)
-    table[:] = Phase.one()
-    return TwistedCocycle(group, twist, table)
+    return TwistedCocycle(group, twist, np.zeros((group.n, group.n), dtype=np.int64), 1)
 
 
 def epsilon(q1: Z2Hom, q2: Z2Hom, twist: Z2Hom | None = None) -> TwistedCocycle:
     """The sign cocycle (g,h) -> (-1)^(q1(g) q2(h)); a cocycle for any twist."""
-    if not q1.group.same_as(q2.group):
-        raise MismatchedGroup("homomorphisms live on different groups")
-    group = q1.group
-    twist = twist if twist is not None else trivial_hom(group)
-    table = np.empty((group.n, group.n), dtype=object)
-    for g in group.elements():
-        for h in group.elements():
-            table[g, h] = Phase.exact(q1(g) * q2(h), 2)
-    return TwistedCocycle(group, twist, table)
+    return epsilon_p(0, q1, 0, q2, twist if twist is not None else trivial_hom(q1.group))
 
 
 def epsilon_p(
@@ -134,39 +177,43 @@ def epsilon_p(
     """
     if not (q1.group.same_as(q2.group) and q1.group.same_as(p.group)):
         raise MismatchedGroup("homomorphisms live on different groups")
-    group = q1.group
     k1, k2 = int(k1) % 2, int(k2) % 2
     dk = abs(k1 - k2)
-    table = np.empty((group.n, group.n), dtype=object)
-    for g in group.elements():
-        for h in group.elements():
-            expo = q1(g) * q2(h) + dk * (k1 * q2(g) + k2 * q1(g)) * p(h)
-            table[g, h] = Phase.exact(expo, 2)
-    return TwistedCocycle(group, p, table)
+    expo = np.outer(q1.values, q2.values) + np.outer(
+        dk * (k1 * q2.values + k2 * q1.values), p.values
+    )
+    return _exact(q1.group, p, expo, 2)
 
 
 def cocycle_product(u1: TwistedCocycle, u2: TwistedCocycle) -> TwistedCocycle:
     if not u1.group.same_as(u2.group) or not u1.twist.same_as(u2.twist):
         raise MismatchedGroup("cocycles must share group and twist")
-    table = np.empty((u1.n, u1.n), dtype=object)
-    for g in u1.group.elements():
-        for h in u1.group.elements():
-            table[g, h] = u1(g, h) * u2(g, h)
-    return validate_cocycle(u1.group, u1.twist, table)
+    if not (u1.is_exact and u2.is_exact):
+        return _checked(TwistedCocycle(u1.group, u1.twist, u1.values() * u2.values()))
+    N = lcm(u1.N, u2.N)
+    _check_order(N)
+    table = u1.table * (N // u1.N) + u2.table * (N // u2.N)
+    return _checked(_exact(u1.group, u1.twist, table, N))
+
+
+def _coboundary_exponents(x: np.ndarray, group: FiniteGroup, twist: Z2Hom) -> np.ndarray:
+    """x_g + (-1)^p(g) x_h - x_gh, the twisted coboundary in exponents.
+
+    Trailing axes of x ride along: the identity matrix gives the map's matrix."""
+    s = (1 - 2 * twist.values).reshape((-1,) + (1,) * x.ndim)
+    return x[:, None] + s * x[None, :] - x[group.table]
 
 
 def coboundary(b, group: FiniteGroup, twist: Z2Hom) -> TwistedCocycle:
     """The twisted coboundary (g,h) -> b(g) conj^p(g)(b(h)) b(gh)^-1."""
-    bp = [Phase.coerce(x) for x in b]
-    if not bp[group.identity].is_one():
+    x, N = _pack(b, (group.n,), 1e-9)
+    e = group.identity
+    if not (x[e] == 0 if N else abs(x[e] - 1.0) <= 1e-9):
         raise NotNormalized("coboundary 1-cochain must have b(e) = 1")
-    table = np.empty((group.n, group.n), dtype=object)
-    for g in group.elements():
-        for h in group.elements():
-            table[g, h] = (
-                bp[g] * bp[h].conj_pow(twist(g)) * bp[group.mul(g, h)].inverse()
-            )
-    return validate_cocycle(group, twist, table)
+    if N:
+        return _checked(_exact(group, twist, _coboundary_exponents(x, group, twist), N))
+    xh = np.where((twist.values == 1)[:, None], x.conj()[None, :], x[None, :])
+    return _checked(TwistedCocycle(group, twist, x[:, None] * xh * x[group.table].conj()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,25 +233,22 @@ class CocycleWitness:
 
 
 def default_modulus(*cocycles: TwistedCocycle) -> int:
-    """lcm of the exact root orders present and 2|G|."""
-    orders = [2 * cocycles[0].n]
-    for u in cocycles:
-        orders.extend(u.root_orders())
-    return lcm(*orders)
+    """|G| lcm(2, exact root orders), a complete lattice for exact cocycles."""
+    return cocycles[0].n * lcm(2, *(u.N for u in cocycles if u.is_exact))
 
 
-def _exponent_table(u: TwistedCocycle, modulus: int, snap_tol: float) -> np.ndarray:
-    exps = np.zeros((u.n, u.n), dtype=object)
-    for g in u.group.elements():
-        for h in u.group.elements():
-            snapped = u(g, h).try_snap(modulus, snap_tol)
-            if snapped is None:
-                raise NotRootOfUnity(
-                    f"v({g},{h}) = {u(g, h).value:.12g} does not lie on the "
-                    f"{modulus}-th root lattice within {snap_tol:.1e}"
-                )
-            exps[g, h] = snapped.k * (modulus // snapped.N)
-    return exps
+def _on_lattice(u: TwistedCocycle, modulus: int, tol: float, error: str) -> np.ndarray:
+    """Exponents of u on the modulus-th roots; NotRootOfUnity(error) if off by > tol."""
+    _check_order(modulus, "root lattice modulus")
+    if u.is_exact and modulus % u.N == 0:
+        return u.table * (modulus // u.N)
+    z = u.values()
+    k = np.rint(np.angle(z) / (2 * np.pi) * modulus).astype(np.int64) % modulus
+    off = np.abs(_roots(k, modulus) - z) > tol
+    if off.any():
+        g, h = (int(i) for i in np.argwhere(off)[0])
+        raise NotRootOfUnity(error.format(g=g, h=h, value=u(g, h).value))
+    return k
 
 
 def cohomologous(
@@ -220,44 +264,34 @@ def cohomologous(
         x_g + (-1)^p(g) x_h - x_gh  =  a2(g,h) - a1(g,h)   (mod M),
 
     a linear congruence system solved exactly over the integers.  A False
-    verdict certifies only that no witness exists on the chosen lattice.
+    verdict on exact inputs at the default modulus is final, else lattice-relative.
     """
     if not u1.group.same_as(u2.group) or not u1.twist.same_as(u2.twist):
         raise MismatchedGroup("cocycles must share group and twist")
     group, p = u1.group, u1.twist
     m = modulus if modulus is not None else default_modulus(u1, u2)
-    a1 = _exponent_table(u1, m, snap_tol)
-    a2 = _exponent_table(u2, m, snap_tol)
+    error = ("v({g},{h}) = {value:.12g} does not lie on the "
+             f"{m}-th root lattice within {snap_tol:.1e}")
+    a1, a2 = (_on_lattice(u, m, snap_tol, error) for u in (u1, u2))
+    rhs = (a2 - a1) % m
 
     n = group.n
-    rows, rhs = [], []
-    for g in group.elements():
-        for h in group.elements():
-            row = [0] * n
-            row[g] += 1
-            row[h] += -1 if p(g) else 1
-            row[group.mul(g, h)] -= 1
-            rows.append(row)
-            rhs.append(int((a2[g, h] - a1[g, h]) % m))
-    x = solve_congruence(rows, rhs, m)
+    A = _coboundary_exponents(np.eye(n, dtype=np.int64), group, p).reshape(n * n, n)
+    x = solve_congruence(A.tolist(), rhs.ravel().tolist(), m)
     if x is None:
         return False, None
     # the (e, h) equations read x_e = 0, so b(e) = 1 holds automatically
     assert x[group.identity] == 0
-    b = tuple(Phase.exact(int(k), m) for k in x)
-    witness = CocycleWitness(group, p, m, b)
-    if not witness.verify(u1, u2, tol=max(1e-9, snap_tol)):
+    if ((_coboundary_exponents(np.array(x), group, p) - rhs) % m).any():
         raise AssertionError("congruence solver produced an invalid witness")
-    return True, witness
+    b = tuple(Phase.exact(int(k), m) for k in x)
+    return True, CocycleWitness(group, p, m, b)
 
 
 def snap_cocycle(u: TwistedCocycle, modulus: int, tol: float = 1e-6) -> TwistedCocycle:
     """Replace floating phases by exact points of the modulus-th root lattice."""
-    table = np.empty((u.n, u.n), dtype=object)
-    for g in u.group.elements():
-        for h in u.group.elements():
-            table[g, h] = u(g, h).snap(modulus, tol)
-    return validate_cocycle(u.group, u.twist, table)
+    error = "{value:.12g} is not a " + f"{modulus}-th root of unity within {tol:.1e}"
+    return _checked(_exact(u.group, u.twist, _on_lattice(u, modulus, tol, error), modulus))
 
 
 def cocycle_of_rep(rep: ProjectiveRep, tol: float = 1e-8) -> TwistedCocycle:
@@ -266,18 +300,16 @@ def cocycle_of_rep(rep: ProjectiveRep, tol: float = 1e-8) -> TwistedCocycle:
     v(g,h) is read off as trace(V_g V_h (V_gh)^-1)/dim; the product must be
     scalar within tol or the input is not a projective representation.
     """
-    group = rep.group
-    dim = rep.dim
-    table = np.empty((group.n, group.n), dtype=object)
-    for g in group.elements():
-        for h in group.elements():
-            prod = compose(rep.op(g), rep.op(h))
-            back = compose(prod, adjoint(rep.op(group.mul(g, h))))
-            mat = back[0]
-            lam = np.trace(mat) / dim
-            if np.linalg.norm(mat - lam * np.eye(dim)) > tol * max(1.0, abs(lam)) * dim:
-                raise NotProjectiveRep(
-                    f"V_{g} V_{h} (V_{g}{h})^-1 deviates from a scalar"
-                )
-            table[g, h] = Phase.from_complex(lam, tol=max(tol, 1e-9))
-    return validate_cocycle(group, rep.twist, table, tol=max(1e-9, tol))
+    group, dim = rep.group, rep.dim
+    M = np.stack([m for m, _ in rep.ops])
+    # V_g V_h V_gh^-1 = M_g conj^p(g)(M_h) M_gh^dag for every (g, h) at once
+    flip = (rep.twist.values == 1)[:, None, None, None]
+    back = M[:, None] @ np.where(flip, M.conj()[None], M[None])
+    back = back @ M[group.table].conj().swapaxes(-1, -2)
+    lam = np.trace(back, axis1=-2, axis2=-1) / dim
+    resid = np.linalg.norm(back - lam[..., None, None] * np.eye(dim), axis=(-2, -1))
+    bad = resid > tol * np.maximum(1.0, np.abs(lam)) * dim
+    if bad.any():
+        g, h = (int(i) for i in np.argwhere(bad)[0])
+        raise NotProjectiveRep(f"V_{g} V_{h} (V_{g}{h})^-1 deviates from a scalar")
+    return validate_cocycle(group, rep.twist, lam, tol=max(1e-9, tol))

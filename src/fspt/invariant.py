@@ -14,16 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cocycle import (
     TwistedCocycle,
     cocycle_product,
     cohomologous,
     epsilon_p,
     trivial_cocycle,
+    validate_cocycle,
 )
 from .errors import GroupMismatch, NotTimeReversalShape
 from .group import Z2Hom, trivial_hom
-from .phase import Phase
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +148,5 @@ def z8_decode(e: Z8Element, group, twist: Z2Hom) -> SPTIndex:
     """A representative index with the given triple, on (Z2, p = id)."""
     if group.n != 2 or twist(1) != 1:
         raise NotTimeReversalShape("requires G = Z2 with p(1) = 1")
-    import numpy as np
-
-    table = np.empty((2, 2), dtype=object)
-    table[:] = Phase.one()
-    table[1, 1] = Phase.one() if e.sign == 1 else Phase.minus_one()
-    from .cocycle import validate_cocycle
-
-    cls = validate_cocycle(group, twist, table)
+    cls = validate_cocycle(group, twist, [[1, 1], [1, int(e.sign)]])
     return SPTIndex(e.kappa, Z2Hom(group, np.array([0, e.eps])), cls)

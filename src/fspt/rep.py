@@ -37,11 +37,6 @@ def adjoint(a: Pair) -> Pair:
     return (np.conj(inv) if fa else inv), fa
 
 
-def apply_to_vector(a: Pair, v: np.ndarray) -> np.ndarray:
-    ma, fa = a
-    return ma @ (np.conj(v) if fa else v)
-
-
 def adjoint_action(a: Pair, x: np.ndarray) -> np.ndarray:
     """V x V^-1 for unitary/anti-unitary V; equals M conj^f(x) M^dag."""
     ma, fa = a
@@ -53,15 +48,6 @@ def conjugate_pair(t: np.ndarray, a: Pair) -> Pair:
     ma, fa = a
     right = t.T if fa else t.conj().T
     return t @ ma @ right, fa
-
-
-def kron_pair(a: Pair, b: Pair) -> Pair:
-    """Tensor product; requires equal flags (conjugation is basis-local)."""
-    ma, fa = a
-    mb, fb = b
-    if fa != fb:
-        raise InvalidSystem("cannot tensor a unitary with an anti-unitary")
-    return np.kron(ma, mb), fa
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,17 +102,3 @@ class ProjectiveRep:
     def conjugated(self, t: np.ndarray) -> "ProjectiveRep":
         ops = tuple(conjugate_pair(t, o) for o in self.ops)
         return ProjectiveRep(self.group, self.twist, ops)
-
-    def det_normalized(self) -> "ProjectiveRep":
-        """Gauge with det = 1 everywhere; the cocycle then satisfies v^dim = 1.
-
-        Taking determinants of V_g V_h = v(g,h) V_gh shows v^dim is the
-        twisted coboundary of det V, so this gauge pins every cocycle value
-        onto the dim-th root lattice.
-        """
-        dim = self.dim
-        ops = []
-        for m, f in self.ops:
-            root = np.exp(np.log(np.linalg.det(m)) / dim)
-            ops.append((m / root, f))
-        return ProjectiveRep(self.group, self.twist, tuple(ops))

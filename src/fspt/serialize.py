@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cocycle import TwistedCocycle, validate_cocycle
+from .cocycle import TwistedCocycle, default_modulus, validate_cocycle
 from .errors import InvalidMPS, InvalidSystem
 from .fmps import FermionicMPS, OnSiteSymmetry, even_mps, odd_mps
 from .group import FiniteGroup, Z2Hom, validate_group, validate_hom_z2
@@ -152,8 +152,6 @@ def system_from_json(data) -> GradedSystem:
 
 
 def index_to_json(index: SPTIndex, snap_modulus: int | None = None) -> dict:
-    from .cocycle import default_modulus
-
     modulus = snap_modulus if snap_modulus else default_modulus(index.cls)
     return {
         "kappa": index.kappa,

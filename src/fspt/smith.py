@@ -31,28 +31,34 @@ def _add_col(mat, src, dst, factor):
         row[dst] += factor * row[src]
 
 
-def diagonalize(A: list[list[int]]):
+def diagonalize(A: list[list[int]], carried: list[list[int]] | None = None):
     """Unimodular U, V and diagonal D with D = U A V.
 
     The diagonal need not satisfy the Smith divisibility chain; for solving
-    linear congruences any integer diagonalization suffices.
+    linear congruences any integer diagonalization suffices.  Row operations
+    act in place on ``carried`` (default: the identity), returned as U.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     D = [list(map(int, row)) for row in A]
-    U = _identity(m)
+    U = carried if carried is not None else _identity(m)
     V = _identity(n)
 
     for t in range(min(m, n)):
         while True:
-            # locate entry of smallest nonzero magnitude in the submatrix
+            # first entry of least nonzero magnitude in the submatrix; 1 is least
             pivot = None
             best = None
             for i in range(t, m):
+                row = D[i]
                 for j in range(t, n):
-                    v = abs(D[i][j])
+                    v = abs(row[j])
                     if v and (best is None or v < best):
                         best, pivot = v, (i, j)
+                        if v == 1:
+                            break
+                if best == 1:
+                    break
             if pivot is None:
                 break
             pi, pj = pivot
@@ -88,6 +94,7 @@ def solve_congruence(A: list[list[int]], c: list[int], modulus: int):
 
     Uses D = U A V: the diagonal system D y = U c (mod modulus) splits into
     scalar congruences d*y = t (mod M), each solvable iff gcd(d, M) | t.
+    The row operations act on c directly, so U itself is never formed.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
@@ -95,8 +102,8 @@ def solve_congruence(A: list[list[int]], c: list[int], modulus: int):
     n = len(A[0]) if m else 0
     if modulus == 1:
         return [0] * n
-    U, D, V = diagonalize(A)
-    t = [sum(U[i][r] * c[r] for r in range(m)) % modulus for i in range(m)]
+    Uc, D, V = diagonalize(A, [[int(v)] for v in c])
+    t = [row[0] % modulus for row in Uc]
     y = [0] * n
     for i in range(m):
         d = D[i][i] if i < n else 0

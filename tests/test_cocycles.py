@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fspt import (
     Phase,
@@ -24,11 +25,12 @@ from fspt import (
     validate_cocycle,
     validate_hom_z2,
 )
-from fspt.cocycle import cocycle_defect
+from fspt.cocycle import TwistedCocycle, cocycle_defect
 from fspt.errors import (
     CocycleIdentityFails,
     MismatchedGroup,
     NotRootOfUnity,
+    SizeTooLarge,
 )
 from conftest import PAULI_REP, SY
 
@@ -277,3 +279,81 @@ def test_every_produced_cocycle_satisfies_identity(rng):
     for u in producers:
         for f, g, h in itertools.product(u.group.elements(), repeat=3):
             assert cocycle_defect(u, f, g, h).is_one(1e-9)
+
+
+def test_default_lattice_complete_for_exact_inputs():
+    # v(1,1) = b(1)^2 is an 8th root, but the witness b(1) is a 16th root
+    u = coboundary([1, Phase.exact(1, 16)], Z2, P_TRIV)
+    assert default_modulus(trivial_cocycle(Z2), u) == 16
+    ok, witness = cohomologous(trivial_cocycle(Z2), u)
+    assert ok and witness.verify(trivial_cocycle(Z2), u)
+    # an explicit modulus stays a lattice-relative question
+    ok8, _ = cohomologous(trivial_cocycle(Z2), u, modulus=8)
+    assert not ok8
+
+
+def test_huge_common_root_order_raises_size_too_large():
+    # coprime orders whose lcm needs more than 62 bits
+    z3 = cyclic(3)
+    table = phase_table(
+        z3, {(1, 1): Phase.exact(1, 2**31 - 1), (2, 2): Phase.exact(1, 2**32 - 5)}
+    )
+    with pytest.raises(SizeTooLarge):
+        validate_cocycle(z3, trivial_hom(z3), table)
+
+
+AGREEMENT_GROUPS = [cyclic(2), cyclic(4), klein(), dihedral(3), dihedral(4), quaternion8()]
+
+
+def _agreement_table(group, twist, rng, kind, perturb):
+    """A coboundary-shifted sign cocycle as Phases, maybe with one entry off."""
+    homs = all_z2_homs(group)
+    q1, q2 = homs[rng.integers(len(homs))], homs[rng.integers(len(homs))]
+    modulus = 4 * group.n
+    u = cocycle_product(
+        epsilon(q1, q2, twist=twist),
+        coboundary(_random_lattice_cochain(group, modulus, rng), group, twist),
+    )
+    table = np.empty((group.n, group.n), dtype=object)
+    for g, h in itertools.product(group.elements(), repeat=2):
+        table[g, h] = u(g, h)
+        if kind == "floating" or (kind == "mixed" and rng.random() < 0.5):
+            table[g, h] = Phase.from_complex(u(g, h).value)
+    if perturb:
+        others = [x for x in group.elements() if x != group.identity]
+        g, h = others[rng.integers(len(others))], others[rng.integers(len(others))]
+        if table[g, h].is_exact:
+            table[g, h] = table[g, h] * Phase.exact(int(rng.integers(1, modulus)), modulus)
+        else:
+            shift = complex(np.exp(1j * rng.uniform(1e-3, 1.0)))
+            table[g, h] = Phase.from_complex(table[g, h].value * shift)
+    return table
+
+
+@given(
+    st.integers(0, len(AGREEMENT_GROUPS) - 1),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["exact", "floating", "mixed"]),
+    st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_validate_agrees_with_scalar_defects(gi, seed, kind, perturb):
+    group = AGREEMENT_GROUPS[gi]
+    rng = np.random.default_rng(seed)
+    for twist in all_z2_homs(group):
+        table = _agreement_table(group, twist, rng, kind, perturb)
+        reference = TwistedCocycle(group, twist, table)
+        first = next(
+            (
+                fgh
+                for fgh in itertools.product(group.elements(), repeat=3)
+                if not cocycle_defect(reference, *fgh).is_one(1e-9)
+            ),
+            None,
+        )
+        if first is None:
+            assert validate_cocycle(group, twist, table).close_to(reference)
+        else:
+            with pytest.raises(CocycleIdentityFails) as err:
+                validate_cocycle(group, twist, table)
+            assert str(first).replace(" ", "") in str(err.value)

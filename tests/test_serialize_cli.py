@@ -127,6 +127,10 @@ def test_cohomologous_cli_with_caveat(tmp_path, capsys):
     assert run(["cohomologous", "--in", p1, "--in", p1, "--in2", p1]) == 0
     out = json.loads(capture(capsys))
     assert out["cohomologous"] is True and "witness" in out
+    # exact inputs at the default modulus: the verdict is final, no caveat
+    assert run(["cohomologous", "--in", p1, "--in2", p2]) == 0
+    out = json.loads(capture(capsys))
+    assert out == {"cohomologous": False, "modulus": 8}
 
 
 def test_index_cli_r1_trivial_group(tmp_path, capsys):
