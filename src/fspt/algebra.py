@@ -3,8 +3,8 @@
 The central object is :class:`OperatorAlgebra`: an orthonormal basis of a
 unital *-subalgebra of M_n together with a small generating set.  On top of
 it live the Koszul-signed tensor product, commutants as nullspace problems,
-centers, graded splittings and the search for distinguished self-adjoint
-unitaries (odd central elements, internal grading implementers).
+graded splittings, and the randomized block decomposition into matrix
+units from which centers and (grading) implementers are read off.
 """
 
 from __future__ import annotations
@@ -108,14 +108,6 @@ def algebra_closure(generators, tol: float = linalg.RANK_RTOL, seed=None) -> Ope
     return OperatorAlgebra(unvec(basis, n), gens, n)
 
 
-def _constraint_columns(basis: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """Columns vec(left @ B_i - B_i @ right), one per basis element."""
-    cols = np.einsum("ij,bjk->bik", left, basis) - np.einsum(
-        "bij,jk->bik", basis, right
-    )
-    return vec(cols).T  # (n^2, k)
-
-
 def _star_closed(gens: np.ndarray) -> np.ndarray:
     """Generators together with their adjoints.
 
@@ -139,15 +131,138 @@ def commutant(algebra: OperatorAlgebra, rtol: float = linalg.RANK_RTOL) -> Opera
     return OperatorAlgebra(mats, mats, n)
 
 
-def center_within(algebra: OperatorAlgebra, rtol: float = linalg.RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of Z(A) = {x in A : [x, g] = 0 for generators g}."""
-    blocks = [
-        _constraint_columns(algebra.basis, g, g)
-        for g in _star_closed(algebra.generators)
-    ]
-    coeffs = linalg.nullspace_rows(np.concatenate(blocks, axis=0), rtol)
-    mats = np.einsum("ck,kij->cij", coeffs, algebra.basis)
-    return linalg.orthonormal_matrices(mats, rtol, floor=1.0)
+def center_within(algebra: OperatorAlgebra) -> np.ndarray:
+    """Orthonormal basis of Z(A): the normalized central projections Q_b."""
+    qs = np.stack([central_projection(v) for v in block_decomposition(algebra)])
+    return qs / np.sqrt(np.trace(qs, axis1=1, axis2=2).real)[:, None, None]
+
+
+def block_decomposition(
+    algebra: OperatorAlgebra, tol: float = 1e-8, attempts: int = 6
+) -> list[np.ndarray]:
+    """Matrix units of every simple block of A, as isometries.
+
+    H = (+)_b C^{N_b} (x) C^{r_b} with A = (+)_b M_{N_b} (x) 1.  A generic
+    self-adjoint element of A has one eigenvalue cluster per minimal
+    projection P_c; a second generic element x links them, P_c x P_d != 0
+    exactly when c and d lie in one block (Murota, Kanno, Kojima & Kojima,
+    JJIAM 27, 2010).  Block b comes back as V of shape (N_b, n, r_b) with
+    matrix units E_ij = V_i V_j^dag.
+    """
+    k, n = algebra.dim, algebra.ambient
+    rng = np.random.default_rng(0x5EED)
+
+    def random_element():
+        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        return np.einsum("k,kij->ij", c, algebra.basis)
+
+    for _ in range(attempts):
+        h = random_element()
+        evals, evecs = np.linalg.eigh(h + h.conj().T)
+        splits = np.nonzero(np.diff(evals) > 1e-6 * max(1.0, evals[-1] - evals[0]))[0]
+        clusters = np.split(np.arange(n), splits + 1)
+        projections = np.stack([evecs[:, c] @ evecs[:, c].conj().T for c in clusters])
+        scale = np.maximum(1.0, np.linalg.norm(projections, axis=(1, 2)))
+        if (linalg.residual_norms(algebra.basis_rows, vec(projections)) > tol * scale).any():
+            continue
+        x = evecs.conj().T @ random_element() @ evecs
+        onehot = np.repeat(np.eye(len(clusters)), [len(c) for c in clusters], axis=0)
+        linked = onehot.T @ np.abs(x) ** 2 @ onehot > (tol * np.linalg.norm(x)) ** 2
+        first = np.argmax(linked, axis=1)  # the lowest cluster of each block
+        if not (linked == (first[:, None] == first[None, :])).all():
+            continue
+        blocks = [
+            _block_isometries(evecs, x, [clusters[c] for c in np.flatnonzero(first == b)], tol)
+            for b in np.unique(first)
+        ]
+        if all(v is not None for v in blocks) and sum(v.shape[0] ** 2 for v in blocks) == k:
+            return blocks
+    raise MarkerNotFound("could not build matrix units for the algebra")
+
+
+def _block_isometries(evecs, x, clusters, tol):
+    """V_c = P_c x P_0 / sqrt(lambda) on the eigenvectors of one block; None
+    unless the clusters are minimal (equal sizes, V_c^dag V_c = 1)."""
+    n, r = evecs.shape[0], len(clusters[0])
+    if any(len(c) != r for c in clusters):
+        return None
+    rows = np.concatenate(clusters)
+    m = x[np.ix_(rows, clusters[0])].reshape(len(clusters), r, r)
+    m[0] = np.eye(r)
+    gram = np.conj(np.transpose(m, (0, 2, 1))) @ m
+    lam = np.trace(gram, axis1=1, axis2=2).real / r
+    if (lam < tol).any() or (
+        np.linalg.norm(gram - lam[:, None, None] * np.eye(r), axis=(1, 2))
+        > tol * np.maximum(1.0, lam) * n
+    ).any():
+        return None
+    basis = np.transpose(evecs[:, rows].reshape(n, len(clusters), r), (1, 0, 2))
+    return basis @ (m / np.sqrt(lam)[:, None, None])
+
+
+def flat_isometry(v: np.ndarray) -> np.ndarray:
+    """(N, n, r) block isometries as one n x (N r) isometry, columns (i, x)."""
+    return np.transpose(v, (1, 0, 2)).reshape(v.shape[1], -1)
+
+
+def central_projection(v: np.ndarray) -> np.ndarray:
+    """Q = sum_i E_ii of one block."""
+    f = flat_isometry(v)
+    return f @ f.conj().T
+
+
+def block_element(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_ij w_ij E_ij: the element of one block with coordinates w in M_N."""
+    f = flat_isometry(v)
+    return f @ np.kron(w, np.eye(v.shape[2])) @ f.conj().T
+
+
+def grading_permutation(blocks: list[np.ndarray], gamma: np.ndarray) -> np.ndarray:
+    """perm[b] = the block that Ad_Gamma carries block b onto.
+
+    overlap[b, c] = Tr(Gamma Q_b Gamma Q_c) / Tr(Q_b) is 0 or 1 for an
+    automorphism; NotGraded when it is not a permutation within 1/4.
+    """
+    flats = [flat_isometry(v) for v in blocks]
+    overlap = np.array(
+        [[np.linalg.norm(fc.conj().T @ gamma @ fb) ** 2 / fb.shape[1] for fc in flats]
+         for fb in flats]
+    )
+    perm = np.argmax(overlap, axis=1)
+    off = np.abs(overlap - np.eye(len(blocks))[perm]).max(initial=0.0)
+    if off > 0.25 or (perm[perm] != np.arange(len(perm))).any():
+        raise NotGraded("Ad_Gamma does not permute the blocks of the algebra")
+    return perm
+
+
+def implementer(v: np.ndarray, op: np.ndarray, flag: int = 0) -> tuple[np.ndarray, float]:
+    """Unitary W in M_N implementing x -> op x^(flag) op^dag on one block.
+
+    With phi(x)_ij = Tr(E_ij^dag x)/r the block isomorphism, W satisfies
+    phi(op E_ij^(flag) op^dag) = W e_ij W^dag.  Skolem-Noether in closed
+    form: W is proportional to sum_i beta(e_ik) e_li for the (k, l) that
+    maximizes its norm.  In the block basis op reads W (x) M; the residual
+    of that factorization is returned beside W.
+    """
+    N, _, r = v.shape
+    moved = op @ (np.conj(v) if flag else v)
+    h = np.einsum("anx,iny->axiy", v.conj(), moved)  # h[a,:,i,:] = V_a^dag op V_i
+    weight = np.einsum("axiy->ai", np.abs(h) ** 2)
+    l, k = np.unravel_index(np.argmax(weight), weight.shape)
+    w = np.einsum("axby,xy->ab", h, h[l, :, k, :].conj()) / r
+    w = w / np.sqrt(np.trace(w.conj().T @ w).real / N)
+    mult = np.einsum("ab,axby->xy", w.conj(), h) / N
+    return w, float(np.linalg.norm(h - np.einsum("ab,xy->axby", w, mult)))
+
+
+def graded_conjugate(
+    algebra: OperatorAlgebra, gamma: np.ndarray, tol: float = 1e-8
+) -> np.ndarray:
+    """Gamma B Gamma for every basis element B; NotGraded if Ad_Gamma leaves A."""
+    conj = gamma @ algebra.basis @ gamma
+    if linalg.residual_norms(algebra.basis_rows, vec(conj)).max(initial=0.0) > tol:
+        raise NotGraded("Ad_Gamma does not preserve the algebra")
+    return conj
 
 
 def graded_split(
@@ -155,15 +270,10 @@ def graded_split(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Even and odd orthonormal bases of A under Ad_Gamma; NotGraded if Ad_Gamma
     does not preserve A."""
-    conj = np.einsum("ij,bjk,kl->bil", gamma, algebra.basis, gamma)
-    resid = linalg.residual_norms(algebra.basis_rows, vec(conj))
-    if resid.max(initial=0.0) > tol:
-        raise NotGraded("Ad_Gamma does not preserve the algebra")
-    even = (algebra.basis + conj) / 2.0
-    odd = (algebra.basis - conj) / 2.0
+    conj = graded_conjugate(algebra, gamma, tol)
     return (
-        linalg.orthonormal_matrices(even, floor=1.0),
-        linalg.orthonormal_matrices(odd, floor=1.0),
+        linalg.orthonormal_matrices((algebra.basis + conj) / 2.0, floor=1.0),
+        linalg.orthonormal_matrices((algebra.basis - conj) / 2.0, floor=1.0),
     )
 
 
@@ -226,9 +336,9 @@ def graded_center_split(
     NotGraded when Ad_Gamma does not preserve A.  The odd unitary is None
     when the odd center vanishes.
     """
-    graded_split(algebra, gamma, tol)  # grading sanity
+    graded_conjugate(algebra, gamma, tol)  # grading sanity
     z = center_within(algebra)
-    conj = np.einsum("ij,bjk,kl->bil", gamma, z, gamma)
+    conj = gamma @ z @ gamma
     even = linalg.orthonormal_matrices((z + conj) / 2.0, floor=1.0)
     odd = linalg.orthonormal_matrices((z - conj) / 2.0, floor=1.0)
     if even.shape[0] > 1:
@@ -248,23 +358,18 @@ def graded_center_split(
 
 
 def grading_implementer(
-    algebra: OperatorAlgebra, gamma: np.ndarray, rtol: float = linalg.RANK_RTOL
+    algebra: OperatorAlgebra, gamma: np.ndarray, tol: float = 1e-8
 ) -> np.ndarray | None:
-    """The in-algebra implementer of the grading, up to scale.
+    """The in-algebra implementer u of the grading (Gamma x Gamma = u x u^dag).
 
-    Solves u g = Ad_Gamma(g) u over u in span(A) against the generators.
-    For a balanced central type-I system with A a factor the solution line
-    is spanned by the self-adjoint unitary generating Z(A^(0)) beside the
-    scalars.  Returns None unless the solution space is exactly 1-dim.
+    Read off the block decomposition; None unless A is a factor preserved
+    by Ad_Gamma.
     """
-    blocks = []
-    for g in _star_closed(algebra.generators):
-        theta_g = gamma @ g @ gamma
-        blocks.append(_constraint_columns(algebra.basis, theta_g, g))
-    coeffs = linalg.nullspace_rows(np.concatenate(blocks, axis=0), rtol)
-    if coeffs.shape[0] != 1:
+    blocks = block_decomposition(algebra, tol)
+    if len(blocks) != 1:
         return None
-    return np.einsum("k,kij->ij", coeffs[0], algebra.basis)
+    w, resid = implementer(blocks[0], gamma)
+    return None if resid > tol * w.shape[0] else block_element(blocks[0], w)
 
 
 def find_odd_selfadjoint_unitary(

@@ -78,20 +78,17 @@ def nullspace_rows(
     m, n = stacked.shape
     if m == 0:
         return np.eye(n, dtype=complex)
-    if m * n <= 1_048_576:
+    if m * n > 1_048_576 and m > n:
+        # tall stacks: R of a QR factorization has the same singular values
+        # and right singular vectors, so the SVD stays n x n
+        stacked = np.linalg.qr(stacked, mode="r")
+    elif m < n:
         # economy SVD has all n right singular vectors once m >= n
-        if m < n:
-            stacked = np.vstack([stacked, np.zeros((n - m, n), dtype=complex)])
-        _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-        cutoff = rtol * max(s[0] if s.size else 0.0, floor)
-        rank = int(np.sum(s > cutoff))
-        return np.conj(vh[rank:])
-    # large stacks: normal equations keep the solve n x n
-    h = stacked.conj().T @ stacked
-    w, v = np.linalg.eigh(h)
-    cutoff = (rtol * max(np.sqrt(max(w[-1], 0.0)), floor)) ** 2 * m
-    keep = w <= cutoff
-    return v[:, keep].T
+        stacked = np.vstack([stacked, np.zeros((n - m, n), dtype=complex)])
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    cutoff = rtol * max(s[0] if s.size else 0.0, floor)
+    rank = int(np.sum(s > cutoff))
+    return np.conj(vh[rank:])
 
 
 def sign_match(x: np.ndarray, y: np.ndarray, tol: float = 1e-8) -> int | None:

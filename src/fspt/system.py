@@ -3,10 +3,13 @@
 A :class:`GradedSystem` is the finite-dimensional avatar of a balanced,
 central, type-I graded dynamical system: a *-algebra with an ambient
 grading unitary and a projective (anti-)unitary group action compatible
-with the grading.  Classification decides whether the algebra is a factor
-(kappa = 0, marker = the self-adjoint unitary generating the even-part
-center) or has an odd central self-adjoint unitary (kappa = 1, marker =
-that unitary); the index is then read off the action.
+with the grading.  One randomized decomposition of the algebra into
+matrix units answers every question: Ad_Gamma permutes its simple blocks,
+the even center counts the orbits and the odd center the swapped pairs.
+One block gives kappa = 0 with marker the in-algebra grading implementer,
+balanced when its trace vanishes; two swapped blocks give kappa = 1 with
+marker Q_1 - Q_2.  The index is read off closed-form implementers of the
+action on the simple factor (all of A, or the even part for kappa = 1).
 """
 
 from __future__ import annotations
@@ -17,19 +20,24 @@ import numpy as np
 
 from . import linalg
 from .algebra import (
+    MAX_AMBIENT,
     OperatorAlgebra,
     algebra_closure,
-    center_within,
-    find_odd_selfadjoint_unitary,
+    block_decomposition,
+    block_element,
+    central_projection,
     full_matrix_algebra,
+    graded_conjugate,
     graded_split,
     graded_tensor,
-    grading_implementer,
+    grading_permutation,
+    implementer,
     selfadjoint_unitary_from,
 )
 from .cocycle import cocycle_of_rep, snap_cocycle
 from .errors import (
     CentralityViolation,
+    DimensionTooLarge,
     GradingActionIndeterminate,
     GroupMismatch,
     InvalidSystem,
@@ -143,169 +151,43 @@ def system_from_generators(
     return GradedSystem(algebra, np.asarray(gamma, dtype=complex), action)
 
 
-def classify(sys: GradedSystem, tol: float = 1e-8) -> tuple[int, np.ndarray]:
+def classify(
+    sys: GradedSystem, tol: float = 1e-8, blocks: list[np.ndarray] | None = None
+) -> tuple[int, np.ndarray]:
     """Decide kappa and produce the marker unitary.
 
-    kappa = 1: the center contains an odd self-adjoint unitary b (marker).
-    kappa = 0: the algebra is a factor; the marker is the self-adjoint
-    unitary generating the center of the even subalgebra, found as the
-    in-algebra implementer of the grading.
+    ``blocks`` is the algebra's block decomposition, when already at hand.
+    kappa = 1: two blocks swapped by Ad_Gamma; the marker Q_1 - Q_2 spans
+    the odd center.  kappa = 0: one block; the marker is the self-adjoint
+    in-algebra implementer of the grading, which generates the even-part
+    center.  Its trace is a multiple of the block multiplicity r and
+    vanishes exactly when A holds an odd self-adjoint unitary.
     """
-    even, odd = graded_split(sys.algebra, sys.gamma, tol)
-    if odd.shape[0] == 0:
+    conj = graded_conjugate(sys.algebra, sys.gamma, tol)
+    # (B - Gamma B Gamma)/2 projects an orthonormal basis onto A^(1), so its
+    # squared norm is the integer dim A^(1)
+    if np.linalg.norm(sys.algebra.basis - conj) ** 2 / 4.0 < 0.5:
         raise NotBalanced("trivially graded: no odd elements at all")
+    blocks = block_decomposition(sys.algebra, tol) if blocks is None else blocks
+    perm = grading_permutation(blocks, sys.gamma)
+    orbits = int(np.sum(perm >= np.arange(len(blocks))))
+    if orbits > 1:
+        raise CentralityViolation(f"even center has dimension {orbits} > 1")
+    if len(blocks) == 2:
+        return 1, 2.0 * central_projection(blocks[0]) - np.eye(sys.algebra.ambient)
 
-    z = center_within(sys.algebra)
-    zconj = np.einsum("ij,bjk,kl->bil", sys.gamma, z, sys.gamma)
-    z_even = linalg.orthonormal_matrices((z + zconj) / 2.0, floor=1.0)
-    z_odd = linalg.orthonormal_matrices((z - zconj) / 2.0, floor=1.0)
-    if z_even.shape[0] > 1:
-        raise CentralityViolation(
-            f"even center has dimension {z_even.shape[0]} > 1"
-        )
-
-    if z_odd.shape[0] >= 1:
-        if z_odd.shape[0] > 1:
-            raise CentralityViolation(
-                f"odd center has dimension {z_odd.shape[0]} > 1"
-            )
-        b = selfadjoint_unitary_from(z_odd[0], tol)
-        if b is None:
-            raise MarkerNotFound("odd center admits no self-adjoint unitary")
-        return 1, b
-
-    u = grading_implementer(sys.algebra, sys.gamma)
-    if u is None:
-        raise MarkerNotFound(
-            "even-part center is not two-dimensional: no grading implementer"
-        )
-    marker = selfadjoint_unitary_from(u, tol)
+    v = blocks[0]
+    N, r = v.shape[0], v.shape[2]
+    w, resid = implementer(v, sys.gamma)
+    square = np.trace(w @ w) / N  # w^2 = square * 1 for a multiple of a s.a. unitary
+    if resid > tol * N or abs(square) < 0.5:
+        raise MarkerNotFound("grading implementer is not scalable to a unitary")
+    marker = selfadjoint_unitary_from(block_element(v, w / np.sqrt(square)), tol)
     if marker is None:
         raise MarkerNotFound("grading implementer is not scalable to a unitary")
-    if find_odd_selfadjoint_unitary(sys.algebra, sys.gamma, tol) is None:
+    if abs(np.trace(marker)) > r / 2.0:
         raise NotBalanced("no odd self-adjoint unitary found in the algebra")
     return 0, marker
-
-
-def _factor_matrix_units(
-    algebra: OperatorAlgebra, tol: float = 1e-8, attempts: int = 6
-) -> np.ndarray:
-    """Ambient matrix units E_ij of a factor M, shape (N, N, n, n).
-
-    H decomposes as C^N (x) C^r with M = M_N (x) 1.  A generic self-adjoint
-    element of M has N eigenvalue clusters of ambient multiplicity r; its
-    spectral projections are minimal in M, and a second generic element
-    supplies the connecting partial isometries.
-    """
-    k = algebra.dim
-    n = algebra.ambient
-    N = round(np.sqrt(k))
-    if N * N != k or n % N:
-        raise MarkerNotFound(f"algebra of dimension {k} on C^{n} is not a factor")
-    r = n // N
-    rng = np.random.default_rng(0x5EED)
-
-    def random_element():
-        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        return np.einsum("k,kij->ij", c, algebra.basis)
-
-    for _ in range(attempts):
-        h = random_element()
-        h = h + h.conj().T
-        evals, evecs = np.linalg.eigh(h)
-        splits = np.nonzero(np.diff(evals) > 1e-6 * max(1.0, evals[-1] - evals[0]))[0]
-        groups = np.split(np.arange(n), splits + 1)
-        if len(groups) != N or any(len(g) != r for g in groups):
-            continue
-        projections = [evecs[:, g] @ evecs[:, g].conj().T for g in groups]
-        if not all(algebra.contains(p, tol) for p in projections):
-            continue
-        x = random_element()
-        isometries = []
-        ok = True
-        for p in projections:
-            u = p @ x @ projections[0]
-            lam = np.trace(u.conj().T @ u).real / r
-            if lam < tol or np.linalg.norm(
-                u.conj().T @ u - lam * projections[0]
-            ) > tol * max(1.0, lam) * n:
-                ok = False
-                break
-            isometries.append(u / np.sqrt(lam))
-        if not ok:
-            continue
-        units = np.empty((N, N, n, n), dtype=complex)
-        for i in range(N):
-            for j in range(N):
-                units[i, j] = isometries[i] @ isometries[j].conj().T
-        total = sum(units[i, i] for i in range(N))
-        if np.linalg.norm(total - np.eye(n)) > tol * n:
-            continue
-        return units
-    raise MarkerNotFound("could not build matrix units for the factor")
-
-
-def _implement_on_factor(
-    units: np.ndarray, sys: GradedSystem, tol: float = 1e-8
-) -> ProjectiveRep:
-    """Wigner implementers of the action transported to the abstract M_N.
-
-    phi(x)[i,j] = Tr(E_ij^dag x)/r is the factor isomorphism; for each g
-    the transported automorphism is implemented by the one-dimensional
-    solution space of beta(y) W = W conj^p(y) over two generators y.
-    """
-    N = units.shape[0]
-    r = np.trace(units[0, 0]).real
-    flat = units.reshape(N * N, -1)
-
-    def phi(x: np.ndarray) -> np.ndarray:
-        return (flat.conj() @ x.reshape(-1)).reshape(N, N) / r
-
-    def phi_inv(y: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ijab->ab", y, units)
-
-    if N == 1:
-        gens_std = [np.eye(1, dtype=complex)]
-    else:
-        shift = np.roll(np.eye(N, dtype=complex), 1, axis=1)
-        clock = np.diag(np.exp(2j * np.pi * np.arange(N) / N))
-        gens_std = [shift, clock]
-
-    eye_n = np.eye(N, dtype=complex)
-    ops = []
-    for g in sys.group.elements():
-        flag = sys.twist(g)
-        blocks = []
-        for y in gens_std:
-            beta_y = phi(sys.action.act(g, phi_inv(y)))
-            rhs = np.conj(y) if flag else y
-            blocks.append(np.kron(beta_y, eye_n) - np.kron(eye_n, rhs.T))
-        rows = linalg.nullspace_rows(np.concatenate(blocks, axis=0))
-        if rows.shape[0] != 1:
-            raise MarkerNotFound(
-                f"transported action of {g} has no unique implementer"
-            )
-        w = rows[0].reshape(N, N)
-        scale = np.trace(w.conj().T @ w).real / N
-        w = w / np.sqrt(scale)
-        # determinant gauge: pins the cocycle onto the N-th root lattice
-        if g == sys.group.identity:
-            w = eye_n
-        else:
-            w = w / np.exp(np.log(np.linalg.det(w)) / N)
-        resid = max(
-            np.linalg.norm(
-                phi(sys.action.act(g, phi_inv(y)))
-                - w @ (np.conj(y) if flag else y) @ w.conj().T
-            )
-            for y in gens_std
-        )
-        if resid > tol * N:
-            raise MarkerNotFound(
-                f"implementer for {g} fails to reproduce the action ({resid:.2e})"
-            )
-        ops.append(pair(w, flag))
-    return ProjectiveRep(sys.group, sys.twist, tuple(ops))
 
 
 def compute_index(sys: GradedSystem, tol: float = 1e-8) -> SPTIndex:
@@ -313,10 +195,12 @@ def compute_index(sys: GradedSystem, tol: float = 1e-8) -> SPTIndex:
 
     The cohomology class is always read off implementers of the action on
     the abstract factor (all of M for kappa = 0, the even part for kappa =
-    1, matching the reduced representation on K); this stays correct when
-    the ambient realization carries multiplicity, e.g. after stacking.
+    1, with units E_ij + Gamma E_ij Gamma, matching the reduced
+    representation on K); this stays correct when the ambient realization
+    carries multiplicity, e.g. after stacking.
     """
-    kappa, marker = classify(sys, tol)
+    blocks = block_decomposition(sys.algebra, tol)
+    kappa, marker = classify(sys, tol, blocks)
     qvals = []
     for g in sys.group.elements():
         s = sign_match(sys.action.act(g, marker), marker, tol)
@@ -328,14 +212,26 @@ def compute_index(sys: GradedSystem, tol: float = 1e-8) -> SPTIndex:
     from .group import validate_hom_z2
 
     q = validate_hom_z2(sys.group, qvals)
-    if kappa == 0:
-        target = sys.algebra
-    else:
-        even, _ = graded_split(sys.algebra, sys.gamma, tol)
-        target = OperatorAlgebra(even, even, sys.algebra.ambient)
-    units = _factor_matrix_units(target, tol)
-    implementers = _implement_on_factor(units, sys, tol)
-    cls = snap_cocycle(cocycle_of_rep(implementers, tol), units.shape[0], 1e-6)
+    v = blocks[0]
+    if kappa:
+        v = np.concatenate([v, sys.gamma @ v], axis=-1)
+    N = v.shape[0]
+    ops = []
+    for g in sys.group.elements():
+        op, flag = sys.action.op(g)
+        w, resid = implementer(v, op, flag)
+        if resid > tol * N:
+            raise MarkerNotFound(
+                f"implementer for {g} fails to reproduce the action ({resid:.2e})"
+            )
+        # determinant gauge: pins the cocycle onto the N-th root lattice
+        if g == sys.group.identity:
+            w = np.eye(N, dtype=complex)
+        else:
+            w = w / np.exp(np.log(np.linalg.det(w)) / N)
+        ops.append(pair(w, flag))
+    implementers = ProjectiveRep(sys.group, sys.twist, tuple(ops))
+    cls = snap_cocycle(cocycle_of_rep(implementers, tol), N, 1e-6)
     return SPTIndex(kappa, q, cls)
 
 
@@ -358,6 +254,8 @@ def stack_systems(s1: GradedSystem, s2: GradedSystem) -> GradedSystem:
     if not s1.group.same_as(s2.group) or not s1.twist.same_as(s2.twist):
         raise GroupMismatch("systems live on different (G, p)")
     n1, n2 = s1.algebra.ambient, s2.algebra.ambient
+    if n1 * n2 > MAX_AMBIENT:
+        raise DimensionTooLarge(f"ambient dimension {n1 * n2} exceeds {MAX_AMBIENT}")
     eye1 = np.eye(n1, dtype=complex)
     eye2 = np.eye(n2, dtype=complex)
 
@@ -365,21 +263,20 @@ def stack_systems(s1: GradedSystem, s2: GradedSystem) -> GradedSystem:
     for b, deg in s2.homogeneous_generators():
         gens.append(graded_tensor(eye1, s1.gamma, b, deg))
 
-    # seed the closure with the full span of signed elementary tensors
+    # the signed elementary tensors a Gamma1^deg(b) (x) b of orthonormal
+    # homogeneous bases are orthonormal and closed: they are the basis
     even1, odd1 = graded_split(s1.algebra, s1.gamma)
     even2, odd2 = graded_split(s2.algebra, s2.gamma)
-    seed = []
-    for mats1 in (even1, odd1):
-        for mats2, deg2 in ((even2, 0), (odd2, 1)):
-            if mats1.shape[0] == 0 or mats2.shape[0] == 0:
-                continue
-            left = mats1 @ s1.gamma if deg2 else mats1
-            seed.append(
-                np.einsum("aij,bkl->abikjl", left, mats2).reshape(
-                    -1, n1 * n2, n1 * n2
-                )
+    left = np.concatenate([even1, odd1])
+    basis = np.concatenate(
+        [
+            (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(
+                -1, n1 * n2, n1 * n2
             )
-    algebra = algebra_closure(np.stack(gens), seed=np.concatenate(seed))
+            for a, b in ((left, even2), (left @ s1.gamma, odd2))
+        ]
+    )
+    algebra = OperatorAlgebra(basis, np.stack(gens), n1 * n2)
 
     ops = []
     for g in s1.group.elements():

@@ -8,9 +8,11 @@ from fspt import (
     ProjectiveRep,
     all_z2_homs,
     cyclic,
+    dihedral,
     even_mps,
     klein,
     odd_mps,
+    quaternion8,
     r0_system,
     r1_system,
     trivial_hom,
@@ -88,6 +90,55 @@ def v4_trivial_grid():
             dressed = [np.kron(PAULI_REP[g], powers[g]) for g in range(4)]
             grid[(kappa, qi, 1)] = unitary_system(v4, p, kappa, dressed, 2)
     return grid
+
+
+def dressed_grid(group, p, dressing):
+    """(kappa, q index, dressed) cells over (G, p) at ambient 2 and 4.
+
+    The q-carrier is sx (kappa 0) or sy (kappa 1) to the power q(g),
+    conjugated where g is anti-unitary; dressed cells tensor it with the
+    2-dim projective rep ``dressing`` on the left.
+    """
+    grid = {}
+    for kappa in (0, 1):
+        changer = SX if kappa == 0 else SY
+        for qi, q in enumerate(all_z2_homs(group)):
+            tails = []
+            for g in group.elements():
+                tail = np.linalg.matrix_power(changer, q(g))
+                tails.append(np.conj(tail) if p(g) else tail)
+            grid[(kappa, qi, 0)] = unitary_system(group, p, kappa, tails, 1)
+            dressed = [np.kron(dressing[g], tails[g]) for g in group.elements()]
+            grid[(kappa, qi, 1)] = unitary_system(group, p, kappa, dressed, 2)
+    return grid
+
+
+def twisted_klein_grid():
+    """Klein group with p = [0, 1, 0, 1] and criterion 8's Pauli action."""
+    v4 = klein()
+    return dressed_grid(v4, validate_hom_z2(v4, [0, 1, 0, 1]), [I2, SZ, SX, SX @ SZ])
+
+
+def d4_grid():
+    """D4 dressed by s^f r^k -> S^f R^k, R the pi/4 rotation (R^4 = -1)."""
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    rot = np.array([[c, -s], [s, c]], dtype=complex)
+    rep = [
+        np.linalg.matrix_power(SZ, f) @ np.linalg.matrix_power(rot, k)
+        for f in range(2)
+        for k in range(4)
+    ]
+    d4 = dihedral(4)
+    return dressed_grid(d4, trivial_hom(d4), rep)
+
+
+def q8_grid():
+    """Q8 dressed by its linear SU(2) rep on the units 1, -1, i, -i, j, -j, k, -k."""
+    su2 = []
+    for unit in (I2, -1j * SX, -1j * SY, -1j * SZ):
+        su2.extend([unit, -unit])
+    q8 = quaternion8()
+    return dressed_grid(q8, trivial_hom(q8), su2)
 
 
 # -- fermionic MPS fixtures --

@@ -12,13 +12,14 @@ from fspt import (
     graded_tensor,
     operator_degree,
 )
+from fspt.algebra import block_decomposition
 from fspt.errors import (
     CentralityViolation,
     DegreeUntagged,
     DimensionTooLarge,
     NotGraded,
 )
-from fspt.linalg import in_span, onb_rows, vec
+from fspt.linalg import in_span, nullspace_rows, onb_rows, vec
 from conftest import I2, SX, SZ, random_unitary
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -202,3 +203,48 @@ def test_closure_invariant_under_conjugation(rng):
     for m in moved.basis:
         assert abs(np.linalg.norm(m) - 1.0) < 1e-10
     assert moved.contains(t @ np.kron(SX, I2) @ t.conj().T)
+
+
+def test_nullspace_rows_large_stack_keeps_the_svd_cut():
+    """A 4096 x 300 stack whose smallest singular value is 1e-8 has full rank
+    under the documented 1e-9 cut; an exact zero leaves one null row."""
+    rng = np.random.default_rng(5)
+    m, n = 4096, 300
+    u, _ = np.linalg.qr(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    v = random_unitary(n, rng)
+    s = np.ones(n)
+    s[-1] = 1e-8
+    assert nullspace_rows((u * s) @ v.conj().T).shape[0] == 0
+    s[-1] = 0.0
+    stacked = (u * s) @ v.conj().T
+    null = nullspace_rows(stacked)
+    assert null.shape[0] == 1
+    assert np.linalg.norm(stacked @ null[0]) < 1e-10
+
+
+def test_block_decomposition_matrix_units(rng):
+    """(M2 (x) 1_2) (+) M3 in a random basis: the units E_ij = V_i V_j^dag of
+    every block lie in A, multiply as matrix units, sum to 1 and span A."""
+    t = random_unitary(7, rng)
+
+    def embed(m, at):
+        out = np.zeros((7, 7), dtype=complex)
+        out[at:at + m.shape[0], at:at + m.shape[0]] = m
+        return out
+
+    shift = np.roll(np.eye(3, dtype=complex), 1, axis=1)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    gens = [embed(np.kron(SX, I2), 0), embed(np.kron(SZ, I2), 0), embed(shift, 4), embed(clock, 4)]
+    alg = algebra_closure([t @ g @ t.conj().T for g in gens])
+    blocks = block_decomposition(alg)
+    assert sorted(v.shape for v in blocks) == [(2, 7, 2), (3, 7, 1)]
+    total = np.zeros((7, 7), dtype=complex)
+    for v in blocks:
+        units = np.einsum("inx,jmx->ijnm", v, v.conj())
+        assert all(alg.contains(e) for e in units.reshape(-1, 7, 7))
+        prods = np.einsum("ijab,klbc->ijklac", units, units)
+        expected = np.einsum("jk,ilac->ijklac", np.eye(v.shape[0]), units)
+        assert np.allclose(prods, expected, atol=1e-10)
+        total += np.einsum("iiab->ab", units)
+    assert np.allclose(total, np.eye(7), atol=1e-10)
+    assert sum(v.shape[0] ** 2 for v in blocks) == alg.dim

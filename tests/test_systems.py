@@ -5,6 +5,7 @@ import pytest
 
 from fspt import (
     ProjectiveRep,
+    all_z2_homs,
     Phase,
     Z8Element,
     classify,
@@ -27,6 +28,8 @@ from fspt import (
     z8_encode,
 )
 from fspt.errors import (
+    CentralityViolation,
+    DimensionTooLarge,
     GroupMismatch,
     NotBalanced,
     NotTimeReversalShape,
@@ -39,10 +42,13 @@ from conftest import (
     SX,
     SY,
     SZ,
+    d4_grid,
+    q8_grid,
     random_unitary,
     tr_grid,
     tr_group,
     tr_system,
+    twisted_klein_grid,
     unitary_system,
     v4_trivial_grid,
     z2_trivial_grid,
@@ -73,6 +79,26 @@ def test_classify_not_balanced():
         np.eye(2, dtype=complex),
         trivial_group_rep(2),
     )
+    with pytest.raises(NotBalanced):
+        classify(sysm)
+
+
+def test_classify_two_fixed_blocks_centrality_violation():
+    """M2 (+) M2 graded by sz (+) sz: Ad_Gamma fixes both blocks, so the even
+    center is two-dimensional."""
+    z = np.zeros((2, 2), dtype=complex)
+    gens = [np.block([[m, z], [z, z]]) for m in (SX, SZ)]
+    gens += [np.block([[z, z], [z, m]]) for m in (SX, SZ)]
+    sysm = system_from_generators(gens, np.kron(I2, SZ), trivial_group_rep(4))
+    with pytest.raises(CentralityViolation):
+        classify(sysm)
+
+
+def test_classify_unbalanced_factor():
+    """M3 graded by diag(1, 1, -1): the marker has trace 1, so A holds no odd
+    self-adjoint unitary."""
+    gamma = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    sysm = GradedSystem(full_matrix_algebra(3), gamma, trivial_group_rep(3))
     with pytest.raises(NotBalanced):
         classify(sysm)
 
@@ -125,6 +151,14 @@ def test_stack_group_mismatch():
     s1 = unitary_system(z2, p, 0, [I2, SX], 1)
     with pytest.raises(GroupMismatch):
         stack_systems(s1, tr_system(0, I2, 1))
+
+
+def test_stack_size_guard_before_allocation():
+    """8 x 16 exceeds MAX_AMBIENT = 64; the guard fires before the basis is built."""
+    small = r0_system(trivial_group_rep(8), 4)
+    large = r0_system(trivial_group_rep(16), 8)
+    with pytest.raises(DimensionTooLarge):
+        stack_systems(small, large)
 
 
 def test_stack_index_identity_law():
@@ -284,3 +318,40 @@ def test_system_from_generators_matches_structured():
     direct = system_from_generators([SX, SZ], SZ, rep)
     structured = tr_system(0, SY, 1)
     assert index_equal(compute_index(direct), compute_index(structured))
+
+
+BEYOND_Z2_GRIDS = {"twisted klein": twisted_klein_grid, "d4": d4_grid, "q8": q8_grid}
+
+
+@pytest.mark.parametrize("family", list(BEYOND_Z2_GRIDS))
+def test_stacking_law_beyond_z2(family, rng):
+    """Every kappa pair, undressed and dressed, at ambient 2 and 4; the
+    first operand of the last pair is conjugated by a random unitary."""
+    grid = BEYOND_Z2_GRIDS[family]()
+    n_q = 1 + max(k[1] for k in grid)
+    pairs = itertools.product([(0, 0), (0, 1), (1, 1)], [(0, 0), (0, 1), (1, 0), (1, 1)])
+    for (da, db), (ka, kb) in pairs:
+        a = grid[(ka, int(rng.integers(n_q)), da)]
+        b = grid[(kb, int(rng.integers(n_q)), db)]
+        if (da, db, ka, kb) == (1, 1, 1, 1):
+            a = a.conjugated(random_unitary(a.algebra.ambient, rng))
+        direct = compute_index(stack_systems(a, b))
+        law = stack_index(compute_index(a), compute_index(b))
+        assert index_equal(direct, law), (family, ka, kb, da, db)
+
+
+@pytest.mark.parametrize("family", list(BEYOND_Z2_GRIDS))
+def test_invariance_beyond_z2(family, rng):
+    """Random-unitary invariance of operands and of one stack."""
+    grid = BEYOND_Z2_GRIDS[family]()
+    n_q = 1 + max(k[1] for k in grid)
+    for kappa, dressed in itertools.product((0, 1), (0, 1)):
+        qi = int(rng.integers(n_q))
+        sysm = grid[(kappa, qi, dressed)]
+        base = compute_index(sysm)
+        assert base.kappa == kappa and base.q.same_as(all_z2_homs(sysm.group)[qi])
+        t = random_unitary(sysm.algebra.ambient, rng)
+        assert index_equal(compute_index(sysm.conjugated(t)), base), (kappa, dressed)
+    stack = stack_systems(grid[(0, 1, 1)], grid[(1, 2, 1)])
+    t = random_unitary(stack.algebra.ambient, rng)
+    assert index_equal(compute_index(stack.conjugated(t)), compute_index(stack))
