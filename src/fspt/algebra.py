@@ -2,9 +2,10 @@
 
 The central object is :class:`OperatorAlgebra`: an orthonormal basis of a
 unital *-subalgebra of M_n together with a small generating set.  On top of
-it live the Koszul-signed tensor product, commutants as nullspace problems,
-graded splittings, and the randomized block decomposition into matrix
-units from which centers and (grading) implementers are read off.
+it live the Koszul-signed tensor product, graded splittings, and the
+randomized block decomposition into matrix units from which commutants,
+graded centers, (grading) implementers and odd self-adjoint unitaries are
+read off.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import linalg
 from .linalg import onb_rows, unvec, vec
 
 MAX_AMBIENT = 64
+DECOMPOSITION_ATTEMPTS = 6  # fresh random elements tried by block_decomposition
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +33,8 @@ class OperatorAlgebra:
     """Unital *-closed subalgebra of M_n.
 
     ``basis`` is orthonormal under the trace inner product; ``generators``
-    is any set known to generate the algebra (used to keep commutant and
-    center solves small).
+    is any set known to generate the algebra (used to keep checks of an
+    action and graded products small).
     """
 
     basis: np.ndarray       # (k, n, n)
@@ -108,26 +110,21 @@ def algebra_closure(generators, tol: float = linalg.RANK_RTOL, seed=None) -> Ope
     return OperatorAlgebra(unvec(basis, n), gens, n)
 
 
-def _star_closed(gens: np.ndarray) -> np.ndarray:
-    """Generators together with their adjoints.
+def commutant(algebra: OperatorAlgebra) -> OperatorAlgebra:
+    """A' read off the block decomposition.
 
-    Commuting with a set only implies commuting with the generated
-    *-algebra when the set is closed under adjoints.
+    A = (+)_b M_{N_b} (x) 1_{r_b} has A' = (+)_b 1_{N_b} (x) M_{r_b}, with
+    orthonormal basis sum_i V_i e_xy V_i^dag / sqrt(N_b) for x, y < r_b.
     """
-    return np.concatenate([gens, np.conj(np.transpose(gens, (0, 2, 1)))])
-
-
-def commutant(algebra: OperatorAlgebra, rtol: float = linalg.RANK_RTOL) -> OperatorAlgebra:
-    """{x : xg = gx for all g}, as a joint nullspace over the operator space."""
     n = algebra.ambient
     if n > MAX_AMBIENT:
         raise DimensionTooLarge(f"ambient dimension {n} exceeds {MAX_AMBIENT}")
-    eye = np.eye(n, dtype=complex)
-    blocks = []
-    for g in _star_closed(algebra.generators):
-        blocks.append(np.kron(g, eye) - np.kron(eye, g.T))
-    rows = linalg.nullspace_rows(np.concatenate(blocks, axis=0), rtol)
-    mats = unvec(onb_rows(rows, rtol), n)
+    mats = np.concatenate(
+        [
+            np.einsum("inx,imy->xynm", v, v.conj()).reshape(-1, n, n) / np.sqrt(v.shape[0])
+            for v in block_decomposition(algebra)
+        ]
+    )
     return OperatorAlgebra(mats, mats, n)
 
 
@@ -137,9 +134,7 @@ def center_within(algebra: OperatorAlgebra) -> np.ndarray:
     return qs / np.sqrt(np.trace(qs, axis1=1, axis2=2).real)[:, None, None]
 
 
-def block_decomposition(
-    algebra: OperatorAlgebra, tol: float = 1e-8, attempts: int = 6
-) -> list[np.ndarray]:
+def block_decomposition(algebra: OperatorAlgebra, tol: float = 1e-8) -> list[np.ndarray]:
     """Matrix units of every simple block of A, as isometries.
 
     H = (+)_b C^{N_b} (x) C^{r_b} with A = (+)_b M_{N_b} (x) 1.  A generic
@@ -156,7 +151,7 @@ def block_decomposition(
         c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         return np.einsum("k,kij->ij", c, algebra.basis)
 
-    for _ in range(attempts):
+    for _ in range(DECOMPOSITION_ATTEMPTS):
         h = random_element()
         evals, evecs = np.linalg.eigh(h + h.conj().T)
         splits = np.nonzero(np.diff(evals) > 1e-6 * max(1.0, evals[-1] - evals[0]))[0]
@@ -306,55 +301,47 @@ def graded_tensor(
     return np.kron(left, b)
 
 
-def selfadjoint_unitary_from(x: np.ndarray, tol: float = 1e-8) -> np.ndarray | None:
-    """Scale a spanning element of a 1-dim *-closed line to a s.a. unitary.
+def require_one_orbit(perm: np.ndarray) -> None:
+    """CentralityViolation unless Ad_Gamma has one orbit on the blocks: the
+    orbits count the even center's dimension."""
+    orbits = int(np.sum(perm >= np.arange(len(perm))))
+    if orbits > 1:
+        raise CentralityViolation(f"even center has dimension {orbits} > 1")
 
-    Tries h = (x + x*)/2 and falls back to i(x - x*)/2; succeeds when
-    h^2 is a positive multiple of the identity.
+
+def grading_unitary(v: np.ndarray, gamma: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Self-adjoint unitary u in M_N implementing Ad_Gamma on a block it fixes.
+
+    implementer(v, gamma) is unitary and squares to a phase when Ad_Gamma is
+    an involution of the block; dividing by a square root of that phase
+    gives u.  MarkerNotFound when the result is not a s.a. unitary.
     """
-    x = np.asarray(x, dtype=complex)
-    n = x.shape[0]
-    h = (x + x.conj().T) / 2.0
-    if np.linalg.norm(h) <= tol * np.linalg.norm(x):
-        h = 1j * (x - x.conj().T) / 2.0
-    sq = h @ h
-    lam = np.trace(sq).real / n
-    if lam <= tol or np.linalg.norm(sq - lam * np.eye(n)) > tol * max(1.0, lam) * n:
-        return None
-    b = h / np.sqrt(lam)
-    if np.linalg.norm(b @ b - np.eye(n)) > tol * n:
-        return None
-    return b
+    N = v.shape[0]
+    w, resid = implementer(v, gamma)
+    square = np.trace(w @ w) / N  # a unit phase for a multiple of a s.a. unitary
+    u = w / np.sqrt(square) if abs(square) >= 0.5 else None
+    if resid > tol * N or u is None or not linalg.is_selfadjoint_unitary(u, tol):
+        raise MarkerNotFound("grading implementer is not scalable to a unitary")
+    return u
 
 
-def graded_center_split(
-    algebra: OperatorAlgebra, gamma: np.ndarray, tol: float = 1e-8
-):
+def graded_center_split(algebra: OperatorAlgebra, gamma: np.ndarray, tol: float = 1e-8):
     """Split Z(A) by grading; return (even basis, odd basis, odd s.a. unitary).
 
-    Raises CentralityViolation when the even center exceeds the scalars, and
-    NotGraded when Ad_Gamma does not preserve A.  The odd unitary is None
-    when the odd center vanishes.
+    Ad_Gamma permutes the central projections Q_b: orbit sums span the even
+    center, Q_b - Q_c over swapped pairs the odd one.  CentralityViolation
+    unless there is one orbit; NotGraded when Ad_Gamma does not preserve A.
+    The odd unitary is Q_1 - Q_2, or None when the odd center vanishes.
     """
     graded_conjugate(algebra, gamma, tol)  # grading sanity
-    z = center_within(algebra)
-    conj = gamma @ z @ gamma
-    even = linalg.orthonormal_matrices((z + conj) / 2.0, floor=1.0)
-    odd = linalg.orthonormal_matrices((z - conj) / 2.0, floor=1.0)
-    if even.shape[0] > 1:
-        raise CentralityViolation(
-            f"even center has dimension {even.shape[0]} > 1"
-        )
-    odd_unitary = None
-    if odd.shape[0] == 1:
-        odd_unitary = selfadjoint_unitary_from(odd[0], tol)
-        if odd_unitary is None:
-            raise MarkerNotFound("odd center admits no self-adjoint unitary")
-    elif odd.shape[0] > 1:
-        raise CentralityViolation(
-            f"odd center has dimension {odd.shape[0]} > 1"
-        )
-    return even, odd, odd_unitary
+    blocks = block_decomposition(algebra, tol)
+    require_one_orbit(grading_permutation(blocks, gamma))
+    n = algebra.ambient
+    even = np.eye(n, dtype=complex)[None] / np.sqrt(n)
+    if len(blocks) == 1:
+        return even, np.zeros((0, n, n), dtype=complex), None
+    odd_unitary = 2.0 * central_projection(blocks[0]) - np.eye(n)
+    return even, odd_unitary[None] / np.sqrt(n), odd_unitary
 
 
 def grading_implementer(
@@ -373,42 +360,26 @@ def grading_implementer(
 
 
 def find_odd_selfadjoint_unitary(
-    algebra: OperatorAlgebra,
-    gamma: np.ndarray,
-    tol: float = 1e-8,
-    attempts: int = 8,
+    algebra: OperatorAlgebra, gamma: np.ndarray, tol: float = 1e-8
 ) -> np.ndarray | None:
-    """Search A for an odd self-adjoint unitary (the balancedness witness).
+    """An odd self-adjoint unitary in A (the balancedness witness), or None.
 
-    Odd self-adjoint elements h with invertible h yield sign(h), which is
-    automatically odd, self-adjoint, unitary and inside A.
+    Built block by block: Q_b - Q_c on each pair of blocks that Ad_Gamma
+    swaps; on a block it fixes, with grading unitary u = U+ U+^dag - U- U-^dag,
+    the swap U+ U-^dag + U- U+^dag, which exists exactly when the +-1
+    eigenspaces of u have equal dimension.
     """
-    _, odd = graded_split(algebra, gamma, tol)
-    if odd.shape[0] == 0:
-        return None
-    sa = np.concatenate(
-        [
-            (odd + np.conj(np.transpose(odd, (0, 2, 1)))) / 2.0,
-            (odd - np.conj(np.transpose(odd, (0, 2, 1)))) / 2.0j,
-        ]
-    )
-    sa = linalg.orthonormal_matrices(sa, floor=1.0)
-    rng = np.random.default_rng(0xFA5E)
-    candidates = list(sa)
-    for _ in range(attempts):
-        w = rng.standard_normal(sa.shape[0])
-        candidates.append(np.einsum("k,kij->ij", w, sa))
-    for h in candidates:
-        h = (h + h.conj().T) / 2.0
-        evals, evecs = np.linalg.eigh(h)
-        if evals.size == 0 or np.min(np.abs(evals)) <= tol * np.max(np.abs(evals)):
-            continue
-        u = (evecs * np.sign(evals)) @ evecs.conj().T
-        ok = (
-            np.linalg.norm(u @ u - np.eye(algebra.ambient)) <= tol * algebra.ambient
-            and operator_degree(u, gamma, tol) == 1
-            and algebra.contains(u, tol)
-        )
-        if ok:
-            return u
-    return None
+    graded_conjugate(algebra, gamma, tol)  # grading sanity
+    blocks = block_decomposition(algebra, tol)
+    out = np.zeros((algebra.ambient, algebra.ambient), dtype=complex)
+    for b, c in enumerate(grading_permutation(blocks, gamma)):
+        if c > b:
+            out += central_projection(blocks[b]) - central_projection(blocks[c])
+        elif c == b:
+            evals, evecs = np.linalg.eigh(grading_unitary(blocks[b], gamma, tol))
+            plus, minus = evecs[:, evals > 0], evecs[:, evals < 0]
+            if plus.shape[1] != minus.shape[1]:
+                return None
+            swap = plus @ minus.conj().T
+            out += block_element(blocks[b], swap + swap.conj().T)
+    return out

@@ -31,12 +31,12 @@ from .algebra import (
     graded_split,
     graded_tensor,
     grading_permutation,
+    grading_unitary,
     implementer,
-    selfadjoint_unitary_from,
+    require_one_orbit,
 )
 from .cocycle import cocycle_of_rep, snap_cocycle
 from .errors import (
-    CentralityViolation,
     DimensionTooLarge,
     GradingActionIndeterminate,
     GroupMismatch,
@@ -44,9 +44,9 @@ from .errors import (
     MarkerNotFound,
     NotBalanced,
 )
-from .group import FiniteGroup, Z2Hom
+from .group import FiniteGroup, Z2Hom, validate_hom_z2
 from .invariant import SPTIndex
-from .linalg import sign_match
+from .linalg import sign_match, vec
 from .rep import ProjectiveRep, pair
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -84,17 +84,17 @@ class GradedSystem:
 
         Both conditions are multiplicative, so checking generators suffices.
         """
+        size = lambda m: tol * np.maximum(1.0, np.linalg.norm(vec(m), axis=-1))
         for g in self.group.elements():
-            for x in self.algebra.generators:
-                moved = self.action.act(g, x)
-                if not self.algebra.contains(moved, tol):
-                    raise InvalidSystem(f"action of {g} does not preserve the algebra")
-                swap = self.gamma @ moved @ self.gamma
-                other = self.action.act(g, self.gamma @ x @ self.gamma)
-                if np.linalg.norm(swap - other) > tol * max(1.0, np.linalg.norm(swap)):
-                    raise InvalidSystem(
-                        f"action of {g} does not commute with the grading"
-                    )
+            moved = self.action.act(g, self.algebra.generators)
+            swap = self.gamma @ moved @ self.gamma
+            drift = swap - self.action.act(g, self.gamma @ self.algebra.generators @ self.gamma)
+            leaves = linalg.residual_norms(self.algebra.basis_rows, vec(moved)) > size(moved)
+            mixes = np.linalg.norm(vec(drift), axis=-1) > size(swap)
+            first = np.argmax(leaves | mixes)  # the first failing generator, if any
+            if leaves[first] or mixes[first]:
+                what = "preserve the algebra" if leaves[first] else "commute with the grading"
+                raise InvalidSystem(f"action of {g} does not {what}")
 
     def homogeneous_generators(self) -> list[tuple[np.ndarray, int]]:
         """Nonzero homogeneous parts of the generators, with degrees."""
@@ -169,23 +169,13 @@ def classify(
     if np.linalg.norm(sys.algebra.basis - conj) ** 2 / 4.0 < 0.5:
         raise NotBalanced("trivially graded: no odd elements at all")
     blocks = block_decomposition(sys.algebra, tol) if blocks is None else blocks
-    perm = grading_permutation(blocks, sys.gamma)
-    orbits = int(np.sum(perm >= np.arange(len(blocks))))
-    if orbits > 1:
-        raise CentralityViolation(f"even center has dimension {orbits} > 1")
+    require_one_orbit(grading_permutation(blocks, sys.gamma))
     if len(blocks) == 2:
         return 1, 2.0 * central_projection(blocks[0]) - np.eye(sys.algebra.ambient)
 
     v = blocks[0]
-    N, r = v.shape[0], v.shape[2]
-    w, resid = implementer(v, sys.gamma)
-    square = np.trace(w @ w) / N  # w^2 = square * 1 for a multiple of a s.a. unitary
-    if resid > tol * N or abs(square) < 0.5:
-        raise MarkerNotFound("grading implementer is not scalable to a unitary")
-    marker = selfadjoint_unitary_from(block_element(v, w / np.sqrt(square)), tol)
-    if marker is None:
-        raise MarkerNotFound("grading implementer is not scalable to a unitary")
-    if abs(np.trace(marker)) > r / 2.0:
+    marker = block_element(v, grading_unitary(v, sys.gamma, tol))
+    if abs(np.trace(marker)) > v.shape[2] / 2.0:
         raise NotBalanced("no odd self-adjoint unitary found in the algebra")
     return 0, marker
 
@@ -209,8 +199,6 @@ def compute_index(sys: GradedSystem, tol: float = 1e-8) -> SPTIndex:
                 f"action of {g} sends the marker to neither +/- itself"
             )
         qvals.append(s)
-    from .group import validate_hom_z2
-
     q = validate_hom_z2(sys.group, qvals)
     v = blocks[0]
     if kappa:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from fspt.errors import (
     DimensionTooLarge,
     NotGraded,
 )
-from fspt.linalg import in_span, nullspace_rows, onb_rows, vec
+from fspt.linalg import in_span, is_selfadjoint_unitary, nullspace_rows, onb_rows, vec
 from conftest import I2, SX, SZ, random_unitary
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -65,6 +67,33 @@ def test_commutant_full_and_scalars():
         3,
     )
     assert commutant(scalars).dim == 9
+
+
+def test_commutant_matches_kronecker_nullspace(rng):
+    """On (M2 (x) 1_2) (+) M3 in a random basis, A' is the joint nullspace of
+    x -> gx - xg over A's generators and their adjoints."""
+    alg = _m2_x_1_plus_m3(rng)
+    gens = np.concatenate([alg.generators, np.conj(np.transpose(alg.generators, (0, 2, 1)))])
+    eye = np.eye(7, dtype=complex)
+    stacked = np.concatenate([np.kron(g, eye) - np.kron(eye, g.T) for g in gens])
+    reference = nullspace_rows(stacked).reshape(-1, 7, 7)
+    comm = commutant(alg)
+    assert comm.dim == reference.shape[0] == 4 + 1
+    assert span_equal(comm.basis, reference)
+    gram = np.einsum("aij,bij->ab", comm.basis.conj(), comm.basis)
+    assert np.allclose(gram, np.eye(comm.dim), atol=1e-10)
+
+
+def test_commutant_at_max_ambient():
+    """M2 (x) 1_32 at ambient 64 has commutant 1_2 (x) M32, of dimension 1024."""
+    eye = np.eye(32, dtype=complex)
+    alg = algebra_closure([np.kron(SX, eye), np.kron(SZ, eye)])
+    start = time.perf_counter()
+    comm = commutant(alg)
+    assert time.perf_counter() - start < 1.0
+    assert comm.dim == 1024
+    for g in alg.generators:
+        assert np.abs(g @ comm.basis - comm.basis @ g).max() < 1e-10
 
 
 def test_bicommutant_matches_algebra(rng):
@@ -132,7 +161,8 @@ def test_koszul_product_and_star_rules(rng):
 
 
 def test_commutant_of_graded_tensor_four_cases():
-    """Nullspace commutants match the predicted generators.
+    """Commutants read off the block decomposition match the predicted
+    generators.
 
     The prediction uses only the elementary commutants M2' = C1 and
     C*' = span{1, sx}, combined as even' (x) right' and odd' (x) right' G2.
@@ -190,10 +220,27 @@ def test_graded_split_not_graded():
         graded_split(alg, swap)
 
 
-def test_find_odd_selfadjoint_unitary():
-    assert find_odd_selfadjoint_unitary(full_matrix_algebra(2), SZ) is not None
+def test_find_odd_selfadjoint_unitary(rng):
+    z = np.zeros((2, 2), dtype=complex)
+    gens = [np.block([[m, z], [z, z]]) for m in (SX, SZ)]
+    two_factors = algebra_closure(gens + [np.block([[z, z], [z, m]]) for m in (SX, SZ)])
+    t = random_unitary(4, rng)
+    kappa_one = algebra_closure([np.kron(SX, I2), np.kron(SZ, I2), np.kron(I2, SX)]).conjugated(t)
+    witnessed = [
+        (full_matrix_algebra(2), SZ),
+        (two_factors, np.kron(I2, SZ)),
+        (kappa_one, t @ np.kron(I2, SZ) @ t.conj().T),
+    ]
+    for alg, gamma in witnessed:
+        u = find_odd_selfadjoint_unitary(alg, gamma)
+        assert u is not None
+        assert operator_degree(u, gamma) == 1
+        assert is_selfadjoint_unitary(u, 1e-10)
+        assert alg.contains(u)
     trivially_graded = full_matrix_algebra(2)
     assert find_odd_selfadjoint_unitary(trivially_graded, np.eye(2, dtype=complex)) is None
+    unbalanced = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    assert find_odd_selfadjoint_unitary(full_matrix_algebra(3), unbalanced) is None
 
 
 def test_closure_invariant_under_conjugation(rng):
@@ -222,9 +269,8 @@ def test_nullspace_rows_large_stack_keeps_the_svd_cut():
     assert np.linalg.norm(stacked @ null[0]) < 1e-10
 
 
-def test_block_decomposition_matrix_units(rng):
-    """(M2 (x) 1_2) (+) M3 in a random basis: the units E_ij = V_i V_j^dag of
-    every block lie in A, multiply as matrix units, sum to 1 and span A."""
+def _m2_x_1_plus_m3(rng):
+    """(M2 (x) 1_2) (+) M3 inside M7, in a random basis."""
     t = random_unitary(7, rng)
 
     def embed(m, at):
@@ -235,7 +281,13 @@ def test_block_decomposition_matrix_units(rng):
     shift = np.roll(np.eye(3, dtype=complex), 1, axis=1)
     clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
     gens = [embed(np.kron(SX, I2), 0), embed(np.kron(SZ, I2), 0), embed(shift, 4), embed(clock, 4)]
-    alg = algebra_closure([t @ g @ t.conj().T for g in gens])
+    return algebra_closure([t @ g @ t.conj().T for g in gens])
+
+
+def test_block_decomposition_matrix_units(rng):
+    """(M2 (x) 1_2) (+) M3 in a random basis: the units E_ij = V_i V_j^dag of
+    every block lie in A, multiply as matrix units, sum to 1 and span A."""
+    alg = _m2_x_1_plus_m3(rng)
     blocks = block_decomposition(alg)
     assert sorted(v.shape for v in blocks) == [(2, 7, 2), (3, 7, 1)]
     total = np.zeros((7, 7), dtype=complex)

@@ -31,6 +31,7 @@ from fspt.errors import (
     CentralityViolation,
     DimensionTooLarge,
     GroupMismatch,
+    InvalidSystem,
     NotBalanced,
     NotTimeReversalShape,
 )
@@ -58,6 +59,26 @@ from conftest import (
 def trivial_group_rep(n):
     g1 = cyclic(1)
     return ProjectiveRep.build(g1, trivial_hom(g1), [np.eye(n, dtype=complex)])
+
+
+HADAMARD = (SX + SZ) / np.sqrt(2.0)
+
+
+def hadamard_rep():
+    z2 = cyclic(2)
+    return ProjectiveRep.build(z2, trivial_hom(z2), [I2, HADAMARD])
+
+
+def test_action_that_leaves_the_algebra_is_rejected():
+    """Ad_H sends sx to sz, which span{1, sx} does not contain."""
+    with pytest.raises(InvalidSystem, match="action of 1 does not preserve the algebra"):
+        system_from_generators([SX], SZ, hadamard_rep())
+
+
+def test_action_that_mixes_the_grading_is_rejected():
+    """Ad_H preserves M2 but carries the odd sx to the even sz."""
+    with pytest.raises(InvalidSystem, match="action of 1 does not commute with the grading"):
+        GradedSystem(full_matrix_algebra(2), SZ, hadamard_rep())
 
 
 def test_classify_standard_forms():
