@@ -36,6 +36,8 @@ _SZ = np.diag([1.0, -1.0]).astype(complex)
 
 SiteWord = list[tuple[int, int]]  # [(mu_mask, nu_mask)] per site
 
+RHO_BYTE_BUDGET = 1 << 31  # bytes density_matrix may estimate for one call
+
 
 def transfer_matrix(v: np.ndarray) -> np.ndarray:
     """Row-major matrix of x -> sum_mu v_mu x v_mu^dag on M_m."""
@@ -53,6 +55,12 @@ def transfer_fixed_point(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     Raises DegenerateFixedPoint when eigenvalue 1 of the dual transfer map
     is not simple, and NotPositive when the fixed point fails positivity.
     """
+    return _fixed_point_and_spectrum(v, tol)[0]
+
+
+def _fixed_point_and_spectrum(v, tol=1e-9):
+    """transfer_fixed_point and the spectrum of the dual transfer matrix,
+    the adjoint of the transfer matrix, so the conjugate of its spectrum."""
     v = np.asarray(v, dtype=complex)
     m = v.shape[-1]
     evals, evecs = np.linalg.eig(dual_transfer_matrix(v))
@@ -70,7 +78,7 @@ def transfer_fixed_point(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     w = np.linalg.eigvalsh(d)
     if w.min() < -1e-10 * max(1.0, w.max()):
         raise NotPositive(f"fixed point has negative eigenvalue {w.min():.3e}")
-    return d
+    return d, evals
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +121,7 @@ def _validate_common(kind, d, v, D, tol):
             f"uniform scale, rescale every v_mu by 1/sqrt({scale:.6g})"
         )
     if D is None:
-        D = transfer_fixed_point(v)
+        D, evals = _fixed_point_and_spectrum(v)
     else:
         D = np.asarray(D, dtype=complex)
         if D.shape != (m, m):
@@ -126,11 +134,12 @@ def _validate_common(kind, d, v, D, tol):
         resid = sum(a.conj().T @ D @ a for a in v) - D
         if np.linalg.norm(resid) > tol:
             raise InvalidMPS("D is not a fixed point of the dual transfer map")
+        evals = np.linalg.eigvals(transfer_matrix(v))
     w = np.linalg.eigvalsh((D + D.conj().T) / 2.0)
     if w.min() <= 1e-12 * w.max():
         raise NotPositive("D is not faithful")
-    # purity: the peripheral spectrum of the transfer map must be {1}, simple
-    evals = np.linalg.eigvals(transfer_matrix(v))
+    # purity: the peripheral spectrum of the transfer map must be {1}, simple;
+    # both cuts are invariant under conjugation, so the dual spectrum serves
     at_one = np.abs(evals - 1.0) < 1e-8
     peripheral = np.abs(evals) > 1.0 - 1e-8
     if int(at_one.sum()) != 1 or int(peripheral.sum()) != 1:
@@ -232,51 +241,42 @@ def expectation(mps: FermionicMPS, word: SiteWord) -> complex:
 def density_matrix(mps: FermionicMPS, l: int) -> np.ndarray:
     """Reduced density matrix on sites 0..l under the Jordan-Wigner map.
 
-    Assembles rho = sum_B expectation(B) jw_word(B)^dag over all site words
-    B.  Each jw_word(B) is a string sign times a plain product matrix unit,
-    so rho is filled entrywise: rho[nu_vec, mu_vec] = sign * expectation.
-    The checks that make this an oracle (positivity, unit trace, parity
-    invariance, restriction consistency) live in the test-suite callers.
+    rho = sum_B expectation(B) jw_word(B)^dag over all site words B.  The
+    Koszul and Jordan-Wigner signs of the entry rho[nu, mu] multiply to the
+    rank-one sign s_mu s_nu, s_a = (-1)^(sigma0 sum_k k |a_k|), identically +1
+    for the even kind.  So with F_a = D^(1/2) v_a0 ... v_al flattened and S
+    the diagonal of the s_a, rho = conj(SF) conj(SF)^dag, of which the odd
+    kind keeps the two global-parity blocks.  The checks that make this an
+    oracle (unit trace, parity invariance, restriction consistency, agreement
+    with expectation) live in the test-suite callers.
     """
     sites = l + 1
-    if mps.d * sites > 14:
-        raise SizeTooLarge(f"chain of {sites} sites at d={mps.d} is too large")
-    nloc = mps.nloc
-    total = nloc ** sites
-
-    # products v_mu0 ... v_mul for every occupation sequence, big-endian
+    total = mps.nloc ** sites
+    need = 16 * total * (total + 2 * mps.m * mps.m)  # rho, the products and F
+    if need > RHO_BYTE_BUDGET:
+        raise SizeTooLarge(
+            f"density matrix of {sites} sites at d={mps.d}, m={mps.m} needs "
+            f"{need} bytes, over the budget of {RHO_BYTE_BUDGET} bytes"
+        )
+    # per occupation sequence a, big-endian: the product P_a = v_a0 ... v_al,
+    # the global parity sum_k |a_k| and the sign weight sum_k k |a_k|
+    par = mps.site_parities()
     prods = np.eye(mps.m, dtype=complex)[None]
-    for _ in range(sites):
+    parity = weight = np.zeros(1, dtype=int)
+    for k in range(sites):
         prods = np.einsum("aij,mjk->amik", prods, mps.v).reshape(-1, mps.m, mps.m)
-
-    # Gram-style core: Tr(D P_a P_b^dag) via a D^(1/2) square root
+        parity = (parity[:, None] + par).reshape(-1)
+        weight = (weight[:, None] + k * par).reshape(-1)
     w, u = np.linalg.eigh((mps.D + mps.D.conj().T) / 2.0)
     droot = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    flat = (droot[None] @ prods).reshape(total, -1)
-    core = flat @ flat.conj().T  # core[a, b] = Tr(D P_a P_b^dag)
-
-    # per-site parities of each sequence index (big-endian digit order)
-    digits = np.zeros((total, sites), dtype=int)
-    seq = np.arange(total)
-    for k in reversed(range(sites)):
-        digits[:, k] = seq % nloc
-        seq = seq // nloc
-    par = mps.site_parities()[digits]  # (total, sites)
-    cums = np.cumsum(par, axis=1) - par  # sum_{j<k} |nu_j|
-
-    # expectation sign exponent, with the odd-kind offset folded in
-    offset = mps.sigma0 if mps.kind == "odd" else 0
-    shift = offset * np.arange(sites)
-    expo = par @ (cums + shift).T + ((par * (cums + shift)).sum(axis=1))[None, :]
-    # Jordan-Wigner string sign of the embedded word
-    jw = par @ cums.T + (par * cums).sum(axis=1)[None, :]
-    sign = np.where((expo + jw) % 2, -1.0, 1.0)
-
-    value = sign * core
+    flat = (droot[None] @ prods).reshape(total, -1)  # F_a = D^(1/2) P_a
+    if mps.kind == "odd" and mps.sigma0:
+        flat[weight % 2 == 1] *= -1.0
+    gram = flat @ flat.conj().T  # gram[mu, nu] = s_mu s_nu Tr(D P_mu P_nu^dag)
     if mps.kind == "odd":
-        tot = par.sum(axis=1) % 2
-        value = value * (tot[:, None] == tot[None, :])
-    return value.T  # rows are nu sequences, columns mu sequences
+        odd = parity % 2 == 1
+        np.putmask(gram, odd[:, None] != odd, 0.0)
+    return gram.T  # rows are nu sequences, columns mu sequences
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ from fspt.errors import (
     SizeTooLarge,
     SymmetryViolated,
 )
-from fspt.fmps import hatted_v, transfer_matrix
+from fspt.fmps import RHO_BYTE_BUDGET, hatted_v, transfer_matrix
 from fspt.rep import pair
 from conftest import (
     I2,
@@ -246,17 +246,66 @@ def test_density_matrix_reproduces_expectations(name, make):
         assert lhs == pytest.approx(expectation(mps, word), abs=1e-12)
 
 
+def _normalized(v):
+    gram = sum(a @ a.conj().T for a in v)
+    w, u = np.linalg.eigh(gram)
+    return np.stack([((u / np.sqrt(w)) @ u.conj().T) @ a for a in v])
+
+
+def random_even_mps(d, m, sigma0, rng):
+    """Bond matrices of Theta-degree |mu| + sigma0 for a non-diagonal Theta."""
+    signs = np.where(np.arange(m) < rng.integers(1, m), 1.0, -1.0)
+    same = np.equal.outer(signs, signs)
+    q = random_unitary(m, rng)
+    v = []
+    for mask in range(1 << d):
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        keep = same if (bin(mask).count("1") + sigma0) % 2 == 0 else ~same
+        v.append(q @ (a * keep) @ q.conj().T)
+    mps = even_mps(d, _normalized(v), theta=q @ np.diag(signs) @ q.conj().T)
+    assert mps.sigma0 == sigma0
+    return mps
+
+
+def random_odd_mps(d, m, sigma0, rng):
+    v = rng.standard_normal((1 << d, m, m)) + 1j * rng.standard_normal((1 << d, m, m))
+    return odd_mps(d, _normalized(v), sigma0=sigma0)
+
+
+def literal_sum(mps, l):
+    """rho = sum_B omega(B) jw_word(B)^dag, summed word by word."""
+    dim = mps.nloc ** (l + 1)
+    acc = np.zeros((dim, dim), dtype=complex)
+    for word in all_words(mps.d, l + 1):
+        value = expectation(mps, word)
+        if value != 0:
+            acc += value * jw_word(word, mps.d).conj().T
+    return acc
+
+
 def test_density_matrix_matches_literal_sum():
-    for make in (lambda: majorana_mps(1), even_mps_d1):
+    for _, make in ALL_FIXTURES:
         mps = make()
-        acc = np.zeros((4, 4), dtype=complex)
-        for word in all_words(1, 2):
-            acc += expectation(mps, word) * jw_word(word, 1).conj().T
-        assert np.linalg.norm(acc - density_matrix(mps, 1)) < 1e-12
+        # d = 2 stops at l = 2: l = 3 would sum 65536 words of 256 x 256 products
+        for l in range(1, 4 if mps.d == 1 else 3):
+            assert np.linalg.norm(literal_sum(mps, l) - density_matrix(mps, l)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["even", "odd"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("sigma0", [0, 1])
+def test_density_matrix_matches_literal_sum_random(kind, d, sigma0):
+    rng = np.random.default_rng(100 * d + 10 * sigma0 + (kind == "odd"))
+    mps = (random_even_mps if kind == "even" else random_odd_mps)(d, 3, sigma0, rng)
+    max_l = 3 if d == 1 else (2 if (kind, sigma0) == ("odd", 1) else 1)
+    for l in range(1, max_l + 1):
+        assert np.linalg.norm(literal_sum(mps, l) - density_matrix(mps, l)) < 1e-12
 
 
 def test_density_matrix_size_guard():
-    with pytest.raises(SizeTooLarge):
+    need = 16 * 2**15 * (2**15 + 2)  # rho, products and F of 15 sites, m = 1
+    message = f"needs {need} bytes, over the budget of {RHO_BYTE_BUDGET} bytes"
+    with pytest.raises(SizeTooLarge, match=message):
         density_matrix(majorana_mps(0), 14)
 
 
