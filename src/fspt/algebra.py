@@ -73,13 +73,11 @@ def full_matrix_algebra(n: int) -> OperatorAlgebra:
     return OperatorAlgebra(units, gens, n)
 
 
-def algebra_closure(generators, tol: float = linalg.RANK_RTOL, seed=None) -> OperatorAlgebra:
+def algebra_closure(generators) -> OperatorAlgebra:
     """Smallest unital *-algebra containing the generators.
 
     Iterates left multiplication by the (adjoint-closed) generator set,
-    re-orthonormalizing until the span is stable.  ``seed`` optionally
-    supplies matrices known to lie in the algebra, to start from a bigger
-    span.
+    re-orthonormalizing until the span is stable.
     """
     gens = np.asarray(generators, dtype=complex)
     if gens.ndim == 2:
@@ -91,10 +89,7 @@ def algebra_closure(generators, tol: float = linalg.RANK_RTOL, seed=None) -> Ope
         raise DimensionTooLarge(f"ambient dimension {n} exceeds {MAX_AMBIENT}")
 
     mult = np.concatenate([gens, np.conj(np.transpose(gens, (0, 2, 1)))])
-    start = [np.eye(n, dtype=complex)[None], mult]
-    if seed is not None:
-        start.append(np.asarray(seed, dtype=complex).reshape(-1, n, n))
-    basis = onb_rows(vec(np.concatenate(start)), tol)
+    basis = onb_rows(vec(np.concatenate([np.eye(n, dtype=complex)[None], mult])))
 
     while True:
         mats = unvec(basis, n)
@@ -104,7 +99,7 @@ def algebra_closure(generators, tol: float = linalg.RANK_RTOL, seed=None) -> Ope
         scale = np.maximum(1.0, np.linalg.norm(rows, axis=-1))
         if (resid <= 1e-8 * scale).all():
             break
-        basis = onb_rows(np.concatenate([basis, rows]), tol)
+        basis = onb_rows(np.concatenate([basis, rows]))
         if basis.shape[0] > n * n:
             raise AssertionError("closure exceeded the ambient operator space")
     return OperatorAlgebra(unvec(basis, n), gens, n)

@@ -277,7 +277,7 @@ def cohomologous(
 
     n = group.n
     A = _coboundary_exponents(np.eye(n, dtype=np.int64), group, p).reshape(n * n, n)
-    x = solve_congruence(A.tolist(), rhs.ravel().tolist(), m)
+    x = solve_congruence(A, rhs.ravel(), m)
     if x is None:
         return False, None
     # the (e, h) equations read x_e = 0, so b(e) = 1 holds automatically

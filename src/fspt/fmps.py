@@ -19,7 +19,6 @@ from .cocycle import cocycle_of_rep
 from .errors import (
     DegenerateFixedPoint,
     DimensionMismatch,
-    GradingActionIndeterminate,
     InvalidMPS,
     NoConsistentQ,
     NotPositive,
@@ -105,7 +104,7 @@ class FermionicMPS:
         return np.array([subset_parity(mask) for mask in fock.fock_masks(self.d)])
 
 
-def _validate_common(kind, d, v, D, tol):
+def _validate_common(d, v, D, tol):
     v = np.asarray(v, dtype=complex)
     nloc = 1 << d
     if v.ndim != 3 or v.shape[0] != nloc or v.shape[1] != v.shape[2]:
@@ -151,7 +150,7 @@ def _validate_common(kind, d, v, D, tol):
 
 def even_mps(d: int, v, theta, D=None, tol: float = 1e-8) -> FermionicMPS:
     """Validate and build an even fermionic MPS."""
-    v, D, m = _validate_common("even", d, v, D, tol)
+    v, D, m = _validate_common(d, v, D, tol)
     theta = np.asarray(theta, dtype=complex)
     if theta.shape != (m, m):
         raise DimensionMismatch(f"Theta must be {m} x {m}")
@@ -179,7 +178,7 @@ def even_mps(d: int, v, theta, D=None, tol: float = 1e-8) -> FermionicMPS:
 
 def odd_mps(d: int, v, sigma0: int, D=None, tol: float = 1e-8) -> FermionicMPS:
     """Validate and build an odd fermionic MPS (sigma0 is input data)."""
-    v, D, m = _validate_common("odd", d, v, D, tol)
+    v, D, m = _validate_common(d, v, D, tol)
     return FermionicMPS("odd", d, m, v, D, None, int(sigma0) % 2)
 
 
@@ -368,15 +367,8 @@ def fmps_index(mps: FermionicMPS, sym: OnSiteSymmetry, tol: float = 1e-8) -> SPT
     phases = check_symmetry(mps, sym, tol)
     group = sym.group
     if mps.kind == "even":
-        qvals = []
-        for g in group.elements():
-            s = sign_match(adjoint_action(sym.rep_bond.op(g), mps.theta), mps.theta, tol)
-            if s is None:
-                raise GradingActionIndeterminate(
-                    f"bond action of {g} sends Theta to neither +/- itself"
-                )
-            qvals.append(s)
-        q = validate_hom_z2(group, qvals)
+        error = "bond action of {g} sends Theta to neither +/- itself"
+        q = validate_hom_z2(group, sym.rep_bond.sign_character(mps.theta, error, tol))
         kappa = 0
     else:
         q = phases.q

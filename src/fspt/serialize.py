@@ -151,12 +151,11 @@ def system_from_json(data) -> GradedSystem:
     raise InvalidSystem(f"unknown system form {form!r}")
 
 
-def index_to_json(index: SPTIndex, snap_modulus: int | None = None) -> dict:
-    modulus = snap_modulus if snap_modulus else default_modulus(index.cls)
+def index_to_json(index: SPTIndex) -> dict:
     return {
         "kappa": index.kappa,
         "q": index.q.values.tolist(),
-        "cocycle": cocycle_to_json(index.cls, snap_modulus=modulus),
+        "cocycle": cocycle_to_json(index.cls, snap_modulus=default_modulus(index.cls)),
     }
 
 

@@ -38,7 +38,6 @@ from .algebra import (
 from .cocycle import cocycle_of_rep, snap_cocycle
 from .errors import (
     DimensionTooLarge,
-    GradingActionIndeterminate,
     GroupMismatch,
     InvalidSystem,
     MarkerNotFound,
@@ -46,7 +45,7 @@ from .errors import (
 )
 from .group import FiniteGroup, Z2Hom, validate_hom_z2
 from .invariant import SPTIndex
-from .linalg import sign_match, vec
+from .linalg import vec
 from .rep import ProjectiveRep, pair
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -191,15 +190,8 @@ def compute_index(sys: GradedSystem, tol: float = 1e-8) -> SPTIndex:
     """
     blocks = block_decomposition(sys.algebra, tol)
     kappa, marker = classify(sys, tol, blocks)
-    qvals = []
-    for g in sys.group.elements():
-        s = sign_match(sys.action.act(g, marker), marker, tol)
-        if s is None:
-            raise GradingActionIndeterminate(
-                f"action of {g} sends the marker to neither +/- itself"
-            )
-        qvals.append(s)
-    q = validate_hom_z2(sys.group, qvals)
+    error = "action of {g} sends the marker to neither +/- itself"
+    q = validate_hom_z2(sys.group, sys.action.sign_character(marker, error, tol))
     v = blocks[0]
     if kappa:
         v = np.concatenate([v, sys.gamma @ v], axis=-1)
@@ -221,15 +213,6 @@ def compute_index(sys: GradedSystem, tol: float = 1e-8) -> SPTIndex:
     implementers = ProjectiveRep(sys.group, sys.twist, tuple(ops))
     cls = snap_cocycle(cocycle_of_rep(implementers, tol), N, 1e-6)
     return SPTIndex(kappa, q, cls)
-
-
-def _gamma_commutation_sign(sys: GradedSystem, g: int, tol: float = 1e-8) -> int:
-    s = sign_match(sys.action.act(g, sys.gamma), sys.gamma, tol)
-    if s is None:
-        raise GradingActionIndeterminate(
-            f"action of {g} sends the grading unitary to neither +/- itself"
-        )
-    return s
 
 
 def stack_systems(s1: GradedSystem, s2: GradedSystem) -> GradedSystem:
@@ -266,11 +249,12 @@ def stack_systems(s1: GradedSystem, s2: GradedSystem) -> GradedSystem:
     )
     algebra = OperatorAlgebra(basis, np.stack(gens), n1 * n2)
 
+    error = "action of {g} sends the grading unitary to neither +/- itself"
+    nu1 = s1.action.sign_character(s1.gamma, error)
     ops = []
     for g in s1.group.elements():
-        nu1 = _gamma_commutation_sign(s1, g)
         m2, f = s2.action.op(g)
-        if nu1:
+        if nu1[g]:
             g2 = np.conj(s2.gamma) if f else s2.gamma
             m2 = m2 @ g2
         ops.append(pair(np.kron(s1.action.op(g)[0], m2), f))

@@ -145,6 +145,17 @@ def test_cohomologous_reflexive_with_unit_witness():
     assert ok and all(p.is_one() for p in w.b)
 
 
+def test_cohomologous_beyond_int64_products():
+    # M = 3 lcm(2, 2^31 - 1) ~ 1.3e10: M^2 overflows int64, so the solve runs on Python integers
+    z3 = cyclic(3)
+    N = 2**31 - 1
+    b = [Phase.one(), Phase.exact(1, N), Phase.exact(N - 12345, N)]
+    trivial, u = trivial_cocycle(z3), coboundary(b, z3, trivial_hom(z3))
+    assert default_modulus(trivial, u) > 2**32
+    ok, w = cohomologous(trivial, u)
+    assert ok and w.verify(trivial, u)
+
+
 def test_pauli_class_not_trivial_modulus8():
     rep = ProjectiveRep.build(V4, trivial_hom(V4), [PAULI_REP[g] for g in range(4)])
     u = cocycle_of_rep(rep)

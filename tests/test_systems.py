@@ -30,6 +30,7 @@ from fspt import (
 from fspt.errors import (
     CentralityViolation,
     DimensionTooLarge,
+    GradingActionIndeterminate,
     GroupMismatch,
     InvalidSystem,
     NotBalanced,
@@ -376,3 +377,15 @@ def test_invariance_beyond_z2(family, rng):
     stack = stack_systems(grid[(0, 1, 1)], grid[(1, 2, 1)])
     t = random_unitary(stack.algebra.ambient, rng)
     assert index_equal(compute_index(stack.conjugated(t)), compute_index(stack))
+
+
+def test_sign_character_reads_signs_and_names_first_failing_element():
+    z2 = cyclic(2)
+    rep = ProjectiveRep.build(z2, trivial_hom(z2), [np.eye(2), np.diag([1.0, -1.0])])
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    error = "action of {g} sends the marker to neither +/- itself"
+    assert rep.sign_character(np.diag([1.0, -1.0]), error) == [0, 0]
+    assert rep.sign_character(sx, error) == [0, 1]
+    with pytest.raises(GradingActionIndeterminate) as info:
+        rep.sign_character(sx + np.diag([1.0, -1.0]), error)
+    assert str(info.value) == "action of 1 sends the marker to neither +/- itself"
