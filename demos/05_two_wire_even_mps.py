@@ -61,7 +61,12 @@ proj2 = validate_hom_z2(v4, [0, 1, 0, 1])
 ok_pauli, _ = cohomologous(idx.cls, epsilon(proj1, proj2), modulus=8)
 print(f"class trivial: {ok_trivial}; class of eps(proj1, proj2): {ok_pauli}")
 
+# rho is rank-deficient, so its least eigenvalues are rounding noise around 0:
+# check them against a tolerance instead of printing them
+PSD_TOL = 1e-12
 rho = density_matrix(mps, 2)
 eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+if eigs.min() < -PSD_TOL:
+    raise SystemExit(f"density matrix has eigenvalue {eigs.min():.1e} below -{PSD_TOL:.0e}")
 print(f"three-site density matrix: dim {rho.shape[0]}, "
-      f"trace {np.trace(rho).real:.10f}, min eigenvalue {eigs.min():+.1e}")
+      f"trace {np.trace(rho).real:.10f}, eigenvalues >= -{PSD_TOL:.0e}")

@@ -5,15 +5,17 @@ with any floating entry is complex128 and checked with tolerance ``tol`` on
 every triple.  Elements g with twist p(g) = 1 act by complex conjugation.
 
 Equivalence is decided exactly: phases are snapped onto a root lattice Z_M
-and the coboundary condition becomes linear congruences mod M, solved by
-integer diagonalization.  |G| annihilates H^n(G, U(1)_p) (Brown, Cohomology
-of Groups, III.10), so for exact inputs the default modulus is complete and
-a False verdict is final; otherwise it holds only relative to Z_M.
+and the coboundary condition becomes linear congruences mod M, whose matrix
+is eliminated once per (G, p, M) and replayed on each right-hand side.  |G|
+annihilates H^n(G, U(1)_p) (Brown, Cohomology of Groups, III.10), so for
+exact inputs the default modulus is complete and a False verdict is final;
+otherwise it holds only relative to Z_M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -29,7 +31,7 @@ from .errors import (
 from .group import FiniteGroup, Z2Hom, trivial_hom
 from .phase import Phase
 from .rep import ProjectiveRep
-from .smith import solve_congruence
+from .smith import Elimination, eliminate
 
 
 def _check_order(N: int, what: str = "common root order") -> None:
@@ -88,9 +90,6 @@ class TwistedCocycle:
     @property
     def is_exact(self) -> bool:
         return self.N > 0
-
-    def root_orders(self) -> list[int]:
-        return [int(o) for o in (self.N // np.gcd(self.table, self.N)).flat] if self.N else []
 
     def values(self) -> np.ndarray:
         """The complex128 table of all entries."""
@@ -251,6 +250,14 @@ def _on_lattice(u: TwistedCocycle, modulus: int, tol: float, error: str) -> np.n
     return k
 
 
+@lru_cache(maxsize=128)
+def _coboundary_elimination(twist: Z2Hom, modulus: int) -> Elimination:
+    """The twisted coboundary matrix of (G, p) eliminated mod M; keyed by value."""
+    n = twist.group.n
+    A = _coboundary_exponents(np.eye(n, dtype=np.int64), twist.group, twist)
+    return eliminate(A.reshape(n * n, n), modulus)
+
+
 def cohomologous(
     u1: TwistedCocycle,
     u2: TwistedCocycle,
@@ -275,9 +282,7 @@ def cohomologous(
     a1, a2 = (_on_lattice(u, m, snap_tol, error) for u in (u1, u2))
     rhs = (a2 - a1) % m
 
-    n = group.n
-    A = _coboundary_exponents(np.eye(n, dtype=np.int64), group, p).reshape(n * n, n)
-    x = solve_congruence(A, rhs.ravel(), m)
+    x = _coboundary_elimination(p, m).solve(rhs.ravel())
     if x is None:
         return False, None
     # the (e, h) equations read x_e = 0, so b(e) = 1 holds automatically

@@ -63,20 +63,16 @@ def validate_group(table) -> FiniteGroup:
         a, b, c = np.argwhere(lhs != rhs)[0]
         raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
 
-    identity = None
-    for e in range(n):
-        if np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx):
-            identity = e
-            break
-    if identity is None:
+    is_identity = (t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0)
+    if not is_identity.any():
         raise NoIdentity("no two-sided identity element")
+    identity = int(is_identity.argmax())
 
-    inverse = np.full(n, -1, dtype=int)
-    for a in range(n):
-        hits = np.nonzero((t[a] == identity) & (t[:, a] == identity))[0]
-        if hits.size == 0:
-            raise NoInverse(f"element {a} has no two-sided inverse")
-        inverse[a] = hits[0]
+    two_sided = (t == identity) & (t.T == identity)  # [a, b]: b inverts a
+    has = two_sided.any(axis=1)
+    if not has.all():
+        raise NoInverse(f"element {int(has.argmin())} has no two-sided inverse")
+    inverse = two_sided.argmax(axis=1)
     return FiniteGroup(table=t, identity=identity, inverse=inverse)
 
 
@@ -128,16 +124,25 @@ def trivial_hom(group: FiniteGroup) -> Z2Hom:
 
 
 def all_z2_homs(group: FiniteGroup) -> list[Z2Hom]:
-    """Every homomorphism G -> Z2, by brute force over value tables."""
-    n = group.n
-    homs = []
-    for mask in range(1 << n):
-        v = np.array([(mask >> g) & 1 for g in range(n)], dtype=int)
-        if v[group.identity]:
-            continue
-        if np.array_equal(v[group.table], (v[:, None] + v[None, :]) % 2):
-            homs.append(Z2Hom(group, v))
-    return homs
+    """Every homomorphism G -> Z2, in increasing order of sum_g v_g 2^g."""
+    n, T = group.n, group.table
+    tree = [(group.identity, 0, 0)]  # (h, parent, j): h = parent * gens[j]
+    gens, reached = [], {group.identity}
+    while len(reached) < n:
+        gens.append(min(set(range(n)) - reached))  # each one at least doubles the subgroup
+        for parent, _, _ in tree:  # the spanning tree grows while it is walked
+            for j, s in enumerate(gens):
+                if (h := int(T[parent, s])) not in reached:
+                    reached.add(h)
+                    tree.append((h, parent, j))
+    # a homomorphism is fixed by its values on gens: extend each assignment
+    # along the tree and keep those that respect the table
+    bits = (np.arange(1 << len(gens))[:, None] >> np.arange(len(gens))) & 1
+    v = np.zeros((len(bits), n), dtype=int)
+    for h, parent, j in tree[1:]:
+        v[:, h] = v[:, parent] ^ bits[:, j]
+    v = v[(v[:, T] == v[:, :, None] ^ v[:, None, :]).all(axis=(1, 2))]
+    return [Z2Hom(group, row) for row in v[np.lexsort(v.T)]]
 
 
 # -- stock groups used throughout the tests and demos --
@@ -149,16 +154,8 @@ def cyclic(n: int) -> FiniteGroup:
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Product group on index pairs, encoded as i*b.n + j."""
-    na, nb = a.n, b.n
-    table = np.zeros((na * nb, na * nb), dtype=int)
-    for i1 in range(na):
-        for j1 in range(nb):
-            for i2 in range(na):
-                for j2 in range(nb):
-                    table[i1 * nb + j1, i2 * nb + j2] = (
-                        a.table[i1, i2] * nb + b.table[j1, j2]
-                    )
-    return validate_group(table)
+    table = a.table[:, None, :, None] * b.n + b.table[None, :, None, :]
+    return validate_group(table.reshape(a.n * b.n, a.n * b.n))
 
 
 def klein() -> FiniteGroup:

@@ -1,14 +1,15 @@
 """Exact congruence solving: A x = c (mod M) by one elimination mod M.
 
+The elimination depends on A and M only; its row steps replay on any c.
 Entries stay symmetric residues mod M, so a product reaches about M^2/4 and
 V @ y sums n terms below M^2.  The arrays are int64 when none of that can
 overflow and Python integers (dtype=object) otherwise; either way the
-arithmetic is exact, with no floating point.  Matrices are small (rows up to
-|G|^2, columns up to |G|).
+arithmetic is exact.  Matrices are small (rows up to |G|^2, columns up to |G|).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -22,31 +23,53 @@ def _reduce(a: np.ndarray, modulus: int) -> None:
     a -= h
 
 
-def solve_congruence(A, c, modulus: int) -> list[int] | None:
-    """One solution x of A x = c (mod modulus), or None.
+@dataclass(frozen=True, eq=False)
+class Elimination:
+    """D = U A V mod M, U kept as row steps (t, i, q): swap rows t and t + i,
+    subtract q times row t from the rows below.  g_i = gcd(d_i, M) per row,
+    inv_i = (d_i / g_i)^-1 mod M / g_i; all arrays are read-only."""
 
-    Row and column operations bring [A | c] to [D | U c] with D = U A V
-    diagonal mod M; each pivot is the first entry of least nonzero magnitude
-    left.  The system splits into scalar congruences d_i y_i = (U c)_i
-    (mod M), each solvable iff gcd(d_i, M) divides (U c)_i, so (U c)_i = 0
-    where d_i = 0; then x = V y.
-    """
+    modulus: int
+    steps: tuple[tuple[int, int, np.ndarray], ...]
+    g: np.ndarray
+    inv: np.ndarray
+    V: np.ndarray
+
+    def solve(self, c) -> list[int] | None:
+        """One x with A x = c (mod M), or None: d_i y_i = (U c)_i is solvable iff
+        g_i divides (U c)_i, so (U c)_i = 0 where d_i = 0; then x = V y."""
+        M, k = self.modulus, len(self.inv)
+        uc = np.array(c, dtype=self.V.dtype)
+        _reduce(uc, M)
+        for t, i, q in self.steps:
+            if i:
+                uc[[t, t + i]] = uc[[t + i, t]]
+            uc[t + 1:] -= q * uc[t]
+            _reduce(uc, M)
+        if (uc % self.g).any():
+            return None
+        g = self.g[:k]
+        y = uc[:k] // g * self.inv % (M // g)
+        return ((self.V[:, :k] @ y) % M).tolist()
+
+
+def eliminate(A, modulus: int) -> Elimination:
+    """Bring A to D = U A V mod M; each pivot is the first entry of least
+    nonzero magnitude left."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     m = len(A)
     n = len(A[0]) if m else 0
     k = min(m, n)
-    if modulus == 1:
-        return [0] * n
     dtype = np.int64 if (n + 1) * modulus**2 < 2**63 else object
-    # [[A | c], [1 | 0]]: row operations act on the top m rows only, column
+    # [[A], [1]]: row operations act on the top m rows only, column
     # operations on every row, so the bottom block accumulates V
-    W = np.zeros((m + n, n + 1), dtype)
-    W[:m, :n] = A
-    W[:m, n] = c
-    W[m:, :n] = np.eye(n, dtype=dtype)
+    W = np.zeros((m + n, n), dtype)
+    W[:m] = A
+    W[m:] = np.eye(n, dtype=dtype)
     _reduce(W, modulus)
 
+    steps = []
     for t in range(k):
         while True:
             mag = np.abs(W[t:m, t:n])
@@ -59,19 +82,23 @@ def solve_congruence(A, c, modulus: int) -> list[int] | None:
             if j:
                 W[:, [t, t + j]] = W[:, [t + j, t]]
             p = W[t, t]
-            W[t + 1:m] -= np.outer(W[t + 1:m, t] // p, W[t])
+            q = W[t + 1:m, t] // p
+            W[t + 1:m] -= np.outer(q, W[t])
             W[:, t + 1:n] -= np.outer(W[:, t], W[t, t + 1:n] // p)
             _reduce(W, modulus)
+            steps.append((t, i, q))
             if not (W[t + 1:m, t].any() or W[t, t + 1:n].any()):
                 break
 
-    uc = (W[:m, n] % modulus).tolist()
     d = W.diagonal()[:k].tolist() + [0] * (m - k)
     g = [gcd(di, modulus) for di in d]  # gcd(0, M) = M
-    if any(ui % gi for ui, gi in zip(uc, g)):
-        return None
-    y = np.zeros(n, dtype)
-    for i in range(k):
-        mi = modulus // g[i]
-        y[i] = uc[i] // g[i] * pow(d[i] // g[i], -1, mi) % mi
-    return ((W[m:, :n] @ y) % modulus).tolist()
+    inv = [pow(d[i] // g[i], -1, modulus // g[i]) for i in range(k)]
+    arrays = np.array(g, dtype), np.array(inv, dtype), W[m:].copy()
+    for a in arrays + tuple(q for _, _, q in steps):
+        a.flags.writeable = False
+    return Elimination(modulus, tuple(steps), *arrays)
+
+
+def solve_congruence(A, c, modulus: int) -> list[int] | None:
+    """One solution x of A x = c (mod modulus), or None."""
+    return eliminate(A, modulus).solve(c)

@@ -23,9 +23,10 @@ from fspt import (
     trivial_cocycle,
     trivial_hom,
     validate_cocycle,
+    validate_group,
     validate_hom_z2,
 )
-from fspt.cocycle import TwistedCocycle, cocycle_defect
+from fspt.cocycle import TwistedCocycle, _coboundary_elimination, cocycle_defect
 from fspt.errors import (
     CocycleIdentityFails,
     MismatchedGroup,
@@ -154,6 +155,37 @@ def test_cohomologous_beyond_int64_products():
     assert default_modulus(trivial, u) > 2**32
     ok, w = cohomologous(trivial, u)
     assert ok and w.verify(trivial, u)
+
+
+def test_cached_elimination_keyed_by_twist_not_group():
+    # v(1,1) = -1 is a coboundary without the twist and a class with it
+    _coboundary_elimination.cache_clear()
+    for twist, expected in ((P_TRIV, True), (P_ID, False)):
+        u = epsilon(P_ID, P_ID, twist=twist)
+        ok, _ = cohomologous(u, trivial_cocycle(Z2, twist), modulus=4)
+        assert ok is expected
+
+
+def test_repeated_calls_share_one_unchanged_elimination(rng):
+    group = dihedral(4)
+    homs = all_z2_homs(group)
+    twist = homs[1]
+    u1 = epsilon(homs[2], homs[3], twist)
+    b = [Phase.one()] + [Phase.exact(int(k), 16) for k in rng.integers(0, 16, 7)]
+    u2 = cocycle_product(u1, coboundary(b, group, twist))
+    elim = _coboundary_elimination(twist, default_modulus(u1, u2))
+    arrays = [elim.g, elim.inv, elim.V] + [q for _, _, q in elim.steps]
+    before = [a.copy() for a in arrays]
+    witnesses = []
+    for _ in range(3):
+        # inputs rebuilt from plain tables still hit the cache, which keys by value
+        fresh = validate_hom_z2(validate_group(group.table.tolist()), twist.values.tolist())
+        hits = _coboundary_elimination.cache_info().hits
+        ok, w = cohomologous(*(TwistedCocycle(fresh.group, fresh, u.table, u.N) for u in (u1, u2)))
+        assert ok and _coboundary_elimination.cache_info().hits == hits + 1
+        witnesses.append(w.b)
+    assert witnesses[0] == witnesses[1] == witnesses[2]
+    assert all(not a.flags.writeable and np.array_equal(a, c) for a, c in zip(arrays, before))
 
 
 def test_pauli_class_not_trivial_modulus8():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fspt import (
@@ -65,6 +66,29 @@ def test_hom_counts():
     assert len(all_z2_homs(klein())) == 4
     assert len(all_z2_homs(dihedral(4))) == 4
     assert len(all_z2_homs(quaternion8())) == 4
+
+
+def test_no_inverse_names_first_element_without_one():
+    # Z2 with an absorbing zero adjoined: element 1 is invertible, element 2 is not
+    with pytest.raises(NoInverse, match="element 2 has"):
+        validate_group([[0, 1, 2], [1, 0, 2], [2, 2, 2]])
+
+
+def test_homs_match_brute_force_in_mask_order():
+    stock = [cyclic(n) for n in range(1, 13)] + [dihedral(n) for n in range(2, 7)] + [
+        klein(),
+        quaternion8(),
+        direct_product(cyclic(2), cyclic(4)),
+        direct_product(klein(), cyclic(2)),
+        direct_product(cyclic(2), cyclic(6)),
+        direct_product(cyclic(3), klein()),
+        direct_product(cyclic(2), dihedral(3)),
+    ]
+    for g in stock:
+        # every value table, in increasing mask sum_g v_g 2^g, kept if a homomorphism
+        v = (np.arange(1 << g.n)[:, None] >> np.arange(g.n)) & 1
+        v = v[(v[:, g.table] == (v[:, :, None] + v[:, None, :]) % 2).all(axis=(1, 2))]
+        assert np.array_equal([h.values for h in all_z2_homs(g)], v)
 
 
 def test_hom_addition():

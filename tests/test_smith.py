@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fspt.smith import solve_congruence
+from fspt.smith import eliminate, solve_congruence
 
 
 @st.composite
@@ -26,6 +26,22 @@ def test_solvable_exactly_when_exhaustive_search_finds_x(system):
     assert (x is not None) == found
     if x is not None:
         assert not ((a @ np.array(x) - c) % modulus).any()
+
+
+@given(congruence_systems(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_elimination_serves_every_right_hand_side(system, data):
+    a, _, modulus = system
+    elim = eliminate(a, modulus)
+    xs = np.array(list(itertools.product(range(modulus), repeat=a.shape[1])))
+    rhs = st.lists(st.integers(-100, 100), min_size=len(a), max_size=len(a))
+    for _ in range(4):
+        c = np.array(data.draw(rhs))
+        found = (((xs @ a.T - c) % modulus) == 0).all(axis=1).any()
+        x = elim.solve(c)
+        assert (x is not None) == found
+        if x is not None:
+            assert not ((a @ np.array(x) - c) % modulus).any()
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(2, 24), st.integers(0, 10_000))
