@@ -22,7 +22,7 @@ from .errors import (
     NotGraded,
 )
 from . import linalg
-from .linalg import onb_rows, unvec, vec
+from .linalg import TOL, onb_rows, unvec, vec
 
 MAX_AMBIENT = 64
 DECOMPOSITION_ATTEMPTS = 6  # fresh random elements tried by block_decomposition
@@ -49,8 +49,8 @@ class OperatorAlgebra:
     def basis_rows(self) -> np.ndarray:
         return vec(self.basis)
 
-    def contains(self, mat: np.ndarray, tol: float = 1e-8) -> bool:
-        return linalg.in_span(self.basis_rows, mat, tol)
+    def contains(self, mat: np.ndarray) -> bool:
+        return linalg.in_span(self.basis_rows, mat)
 
     def conjugated(self, t: np.ndarray) -> "OperatorAlgebra":
         """Image under Ad_T, T unitary; orthonormality is preserved."""
@@ -129,7 +129,7 @@ def center_within(algebra: OperatorAlgebra) -> np.ndarray:
     return qs / np.sqrt(np.trace(qs, axis1=1, axis2=2).real)[:, None, None]
 
 
-def block_decomposition(algebra: OperatorAlgebra, tol: float = 1e-8) -> list[np.ndarray]:
+def block_decomposition(algebra: OperatorAlgebra) -> list[np.ndarray]:
     """Matrix units of every simple block of A, as isometries.
 
     H = (+)_b C^{N_b} (x) C^{r_b} with A = (+)_b M_{N_b} (x) 1.  A generic
@@ -153,16 +153,16 @@ def block_decomposition(algebra: OperatorAlgebra, tol: float = 1e-8) -> list[np.
         clusters = np.split(np.arange(n), splits + 1)
         projections = np.stack([evecs[:, c] @ evecs[:, c].conj().T for c in clusters])
         scale = np.maximum(1.0, np.linalg.norm(projections, axis=(1, 2)))
-        if (linalg.residual_norms(algebra.basis_rows, vec(projections)) > tol * scale).any():
+        if (linalg.residual_norms(algebra.basis_rows, vec(projections)) > TOL * scale).any():
             continue
         x = evecs.conj().T @ random_element() @ evecs
         onehot = np.repeat(np.eye(len(clusters)), [len(c) for c in clusters], axis=0)
-        linked = onehot.T @ np.abs(x) ** 2 @ onehot > (tol * np.linalg.norm(x)) ** 2
+        linked = onehot.T @ np.abs(x) ** 2 @ onehot > (TOL * np.linalg.norm(x)) ** 2
         first = np.argmax(linked, axis=1)  # the lowest cluster of each block
         if not (linked == (first[:, None] == first[None, :])).all():
             continue
         blocks = [
-            _block_isometries(evecs, x, [clusters[c] for c in np.flatnonzero(first == b)], tol)
+            _block_isometries(evecs, x, [clusters[c] for c in np.flatnonzero(first == b)])
             for b in np.unique(first)
         ]
         if all(v is not None for v in blocks) and sum(v.shape[0] ** 2 for v in blocks) == k:
@@ -170,7 +170,7 @@ def block_decomposition(algebra: OperatorAlgebra, tol: float = 1e-8) -> list[np.
     raise MarkerNotFound("could not build matrix units for the algebra")
 
 
-def _block_isometries(evecs, x, clusters, tol):
+def _block_isometries(evecs, x, clusters):
     """V_c = P_c x P_0 / sqrt(lambda) on the eigenvectors of one block; None
     unless the clusters are minimal (equal sizes, V_c^dag V_c = 1)."""
     n, r = evecs.shape[0], len(clusters[0])
@@ -181,9 +181,9 @@ def _block_isometries(evecs, x, clusters, tol):
     m[0] = np.eye(r)
     gram = np.conj(np.transpose(m, (0, 2, 1))) @ m
     lam = np.trace(gram, axis1=1, axis2=2).real / r
-    if (lam < tol).any() or (
+    if (lam < TOL).any() or (
         np.linalg.norm(gram - lam[:, None, None] * np.eye(r), axis=(1, 2))
-        > tol * np.maximum(1.0, lam) * n
+        > TOL * np.maximum(1.0, lam) * n
     ).any():
         return None
     basis = np.transpose(evecs[:, rows].reshape(n, len(clusters), r), (1, 0, 2))
@@ -245,31 +245,27 @@ def implementer(v: np.ndarray, op: np.ndarray, flag: int = 0) -> tuple[np.ndarra
     return w, float(np.linalg.norm(h - np.einsum("ab,xy->axby", w, mult)))
 
 
-def graded_conjugate(
-    algebra: OperatorAlgebra, gamma: np.ndarray, tol: float = 1e-8
-) -> np.ndarray:
+def graded_conjugate(algebra: OperatorAlgebra, gamma: np.ndarray) -> np.ndarray:
     """Gamma B Gamma for every basis element B; NotGraded if Ad_Gamma leaves A."""
     conj = gamma @ algebra.basis @ gamma
-    if linalg.residual_norms(algebra.basis_rows, vec(conj)).max(initial=0.0) > tol:
+    if linalg.residual_norms(algebra.basis_rows, vec(conj)).max(initial=0.0) > TOL:
         raise NotGraded("Ad_Gamma does not preserve the algebra")
     return conj
 
 
-def graded_split(
-    algebra: OperatorAlgebra, gamma: np.ndarray, tol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray]:
+def graded_split(algebra: OperatorAlgebra, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Even and odd orthonormal bases of A under Ad_Gamma; NotGraded if Ad_Gamma
     does not preserve A."""
-    conj = graded_conjugate(algebra, gamma, tol)
+    conj = graded_conjugate(algebra, gamma)
     return (
-        linalg.orthonormal_matrices((algebra.basis + conj) / 2.0, floor=1.0),
-        linalg.orthonormal_matrices((algebra.basis - conj) / 2.0, floor=1.0),
+        linalg.orthonormal_matrices((algebra.basis + conj) / 2.0),
+        linalg.orthonormal_matrices((algebra.basis - conj) / 2.0),
     )
 
 
-def operator_degree(mat: np.ndarray, gamma: np.ndarray, tol: float = 1e-10):
+def operator_degree(mat: np.ndarray, gamma: np.ndarray):
     """0/1 if the operator is homogeneous for Ad_Gamma, else None."""
-    return linalg.sign_match(gamma @ mat @ gamma, np.asarray(mat, dtype=complex), tol)
+    return linalg.sign_match(gamma @ mat @ gamma, np.asarray(mat, dtype=complex), 1e-10)
 
 
 def graded_tensor(
@@ -304,7 +300,7 @@ def require_one_orbit(perm: np.ndarray) -> None:
         raise CentralityViolation(f"even center has dimension {orbits} > 1")
 
 
-def grading_unitary(v: np.ndarray, gamma: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def grading_unitary(v: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Self-adjoint unitary u in M_N implementing Ad_Gamma on a block it fixes.
 
     implementer(v, gamma) is unitary and squares to a phase when Ad_Gamma is
@@ -315,12 +311,12 @@ def grading_unitary(v: np.ndarray, gamma: np.ndarray, tol: float = 1e-8) -> np.n
     w, resid = implementer(v, gamma)
     square = np.trace(w @ w) / N  # a unit phase for a multiple of a s.a. unitary
     u = w / np.sqrt(square) if abs(square) >= 0.5 else None
-    if resid > tol * N or u is None or not linalg.is_selfadjoint_unitary(u, tol):
+    if resid > TOL * N or u is None or not linalg.is_selfadjoint_unitary(u, TOL):
         raise MarkerNotFound("grading implementer is not scalable to a unitary")
     return u
 
 
-def graded_center_split(algebra: OperatorAlgebra, gamma: np.ndarray, tol: float = 1e-8):
+def graded_center_split(algebra: OperatorAlgebra, gamma: np.ndarray):
     """Split Z(A) by grading; return (even basis, odd basis, odd s.a. unitary).
 
     Ad_Gamma permutes the central projections Q_b: orbit sums span the even
@@ -328,8 +324,8 @@ def graded_center_split(algebra: OperatorAlgebra, gamma: np.ndarray, tol: float 
     unless there is one orbit; NotGraded when Ad_Gamma does not preserve A.
     The odd unitary is Q_1 - Q_2, or None when the odd center vanishes.
     """
-    graded_conjugate(algebra, gamma, tol)  # grading sanity
-    blocks = block_decomposition(algebra, tol)
+    graded_conjugate(algebra, gamma)  # grading sanity
+    blocks = block_decomposition(algebra)
     require_one_orbit(grading_permutation(blocks, gamma))
     n = algebra.ambient
     even = np.eye(n, dtype=complex)[None] / np.sqrt(n)
@@ -339,24 +335,20 @@ def graded_center_split(algebra: OperatorAlgebra, gamma: np.ndarray, tol: float 
     return even, odd_unitary[None] / np.sqrt(n), odd_unitary
 
 
-def grading_implementer(
-    algebra: OperatorAlgebra, gamma: np.ndarray, tol: float = 1e-8
-) -> np.ndarray | None:
+def grading_implementer(algebra: OperatorAlgebra, gamma: np.ndarray) -> np.ndarray | None:
     """The in-algebra implementer u of the grading (Gamma x Gamma = u x u^dag).
 
     Read off the block decomposition; None unless A is a factor preserved
     by Ad_Gamma.
     """
-    blocks = block_decomposition(algebra, tol)
+    blocks = block_decomposition(algebra)
     if len(blocks) != 1:
         return None
     w, resid = implementer(blocks[0], gamma)
-    return None if resid > tol * w.shape[0] else block_element(blocks[0], w)
+    return None if resid > TOL * w.shape[0] else block_element(blocks[0], w)
 
 
-def find_odd_selfadjoint_unitary(
-    algebra: OperatorAlgebra, gamma: np.ndarray, tol: float = 1e-8
-) -> np.ndarray | None:
+def find_odd_selfadjoint_unitary(algebra: OperatorAlgebra, gamma: np.ndarray) -> np.ndarray | None:
     """An odd self-adjoint unitary in A (the balancedness witness), or None.
 
     Built block by block: Q_b - Q_c on each pair of blocks that Ad_Gamma
@@ -364,14 +356,14 @@ def find_odd_selfadjoint_unitary(
     the swap U+ U-^dag + U- U+^dag, which exists exactly when the +-1
     eigenspaces of u have equal dimension.
     """
-    graded_conjugate(algebra, gamma, tol)  # grading sanity
-    blocks = block_decomposition(algebra, tol)
+    graded_conjugate(algebra, gamma)  # grading sanity
+    blocks = block_decomposition(algebra)
     out = np.zeros((algebra.ambient, algebra.ambient), dtype=complex)
     for b, c in enumerate(grading_permutation(blocks, gamma)):
         if c > b:
             out += central_projection(blocks[b]) - central_projection(blocks[c])
         elif c == b:
-            evals, evecs = np.linalg.eigh(grading_unitary(blocks[b], gamma, tol))
+            evals, evecs = np.linalg.eigh(grading_unitary(blocks[b], gamma))
             plus, minus = evecs[:, evals > 0], evecs[:, evals < 0]
             if plus.shape[1] != minus.shape[1]:
                 return None

@@ -63,7 +63,7 @@ def _cmd_cohomologous(args) -> dict:
     u1 = serialize.cocycle_from_json(_load(args.infile))
     u2 = serialize.cocycle_from_json(_load(args.infile2))
     modulus = args.modulus or default_modulus(u1, u2)
-    ok, witness = cohomologous(u1, u2, modulus=modulus, snap_tol=args.tol)
+    ok, witness = cohomologous(u1, u2, modulus=modulus)
     out = {"cohomologous": ok, "modulus": modulus}
     if ok:
         out["witness"] = {"b": [serialize.phase_to_json(p) for p in witness.b]}
@@ -74,16 +74,15 @@ def _cmd_cohomologous(args) -> dict:
 
 def _cmd_index(args) -> dict:
     sys_ = serialize.system_from_json(_load(args.infile))
-    index = compute_index(sys_, tol=args.tol)
-    return serialize.index_to_json(index)
+    return serialize.index_to_json(compute_index(sys_))
 
 
 def _cmd_stack(args) -> dict:
     s1 = serialize.system_from_json(_load(args.infile))
     s2 = serialize.system_from_json(_load(args.infile2))
     stacked = stack_systems(s1, s2)
-    direct = compute_index(stacked, tol=args.tol)
-    law = stack_index(compute_index(s1, tol=args.tol), compute_index(s2, tol=args.tol))
+    direct = compute_index(stacked)
+    law = stack_index(compute_index(s1), compute_index(s2))
     return {
         "stacked_index": serialize.index_to_json(direct),
         "index_law": serialize.index_to_json(law),
@@ -175,8 +174,8 @@ def _cmd_fmps_rho(args) -> dict:
 
 def _cmd_fmps_symmetry(args) -> dict:
     mps = serialize.mps_from_json(_load(args.infile))
-    sym = serialize.symmetry_from_json(_load(args.infile2 or args.infile))
-    phases = check_symmetry(mps, sym, tol=args.tol)
+    sym = serialize.symmetry_from_json(_load(args.infile2))
+    phases = check_symmetry(mps, sym)
     out = {
         "c": [
             {"re": serialize.round_sig(c.real), "im": serialize.round_sig(c.imag)}
@@ -191,23 +190,38 @@ def _cmd_fmps_symmetry(args) -> dict:
 
 def _cmd_fmps_index(args) -> dict:
     mps = serialize.mps_from_json(_load(args.infile))
-    sym = serialize.symmetry_from_json(_load(args.infile2 or args.infile))
-    index = fmps_index(mps, sym, tol=args.tol)
-    return serialize.index_to_json(index)
+    sym = serialize.symmetry_from_json(_load(args.infile2))
+    return serialize.index_to_json(fmps_index(mps, sym))
 
 
+_FLAGS = {
+    "--in": dict(dest="infile", help="input JSON file"),
+    "--in2": dict(dest="infile2", help="second input JSON file"),
+    "--l": dict(type=int, default=1, help="chain length minus one"),
+    "--word": dict(help="site word as JSON, e.g. [[1,0],[0,1]]"),
+    "--modulus": dict(type=int, default=None, help="root lattice order"),
+    "--table": dict(action="store_true", help="plain table instead of JSON"),
+}
+
+# subcommand: (handler, help, the flags the handler reads)
 _COMMANDS = {
-    "group-check": (_cmd_group_check, "validate a group multiplication table"),
-    "cocycle-check": (_cmd_cocycle_check, "validate a twisted 2-cocycle table"),
-    "cohomologous": (_cmd_cohomologous, "decide cohomological equivalence"),
-    "index": (_cmd_index, "compute the index of a graded system"),
-    "stack": (_cmd_stack, "stack two systems and cross-check the group law"),
-    "z8-table": (_cmd_z8_table, "composition table of the time-reversal triples"),
-    "fmps-validate": (_cmd_fmps_validate, "validate fermionic MPS data"),
-    "fmps-expect": (_cmd_fmps_expect, "evaluate the state on a site word"),
-    "fmps-rho": (_cmd_fmps_rho, "Jordan-Wigner density matrix with checks"),
-    "fmps-symmetry": (_cmd_fmps_symmetry, "extract on-site symmetry phases"),
-    "fmps-index": (_cmd_fmps_index, "compute the index of a symmetric MPS"),
+    "group-check": (_cmd_group_check, "validate a group multiplication table", ["--in"]),
+    "cocycle-check": (_cmd_cocycle_check, "validate a twisted 2-cocycle table", ["--in"]),
+    "cohomologous": (
+        _cmd_cohomologous, "decide cohomological equivalence", ["--in", "--in2", "--modulus"]
+    ),
+    "index": (_cmd_index, "compute the index of a graded system", ["--in"]),
+    "stack": (
+        _cmd_stack,
+        "stack two systems and cross-check the group law",
+        ["--in", "--in2", "--modulus"],
+    ),
+    "z8-table": (_cmd_z8_table, "composition table of the time-reversal triples", ["--table"]),
+    "fmps-validate": (_cmd_fmps_validate, "validate fermionic MPS data", ["--in"]),
+    "fmps-expect": (_cmd_fmps_expect, "evaluate the state on a site word", ["--in", "--word"]),
+    "fmps-rho": (_cmd_fmps_rho, "Jordan-Wigner density matrix with checks", ["--in", "--l"]),
+    "fmps-symmetry": (_cmd_fmps_symmetry, "extract on-site symmetry phases", ["--in", "--in2"]),
+    "fmps-index": (_cmd_fmps_index, "compute the index of a symmetric MPS", ["--in", "--in2"]),
 }
 
 
@@ -217,24 +231,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="invariants of one-dimensional fermionic SPT phases",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--in", dest="infile", help="input JSON file")
-        p.add_argument("--in2", dest="infile2", help="second input JSON file")
-        p.add_argument("--l", type=int, default=1, help="chain length minus one")
-        p.add_argument("--word", help="site word as JSON, e.g. [[1,0],[0,1]]")
-        p.add_argument("--modulus", type=int, default=None, help="root lattice order")
-        p.add_argument("--tol", type=float, default=1e-8, help="numerical tolerance")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-        fmt.add_argument("--table", action="store_true", help="plain table output")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler, _ = _COMMANDS[args.command]
+    handler, _, _ = _COMMANDS[args.command]
     try:
         payload = handler(args)
     except DomainError as err:

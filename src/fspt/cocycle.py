@@ -29,9 +29,13 @@ from .errors import (
     SizeTooLarge,
 )
 from .group import FiniteGroup, Z2Hom, trivial_hom
+from .linalg import TOL
 from .phase import Phase
-from .rep import ProjectiveRep
+from .rep import ProjectiveRep, pair
 from .smith import Elimination, eliminate
+
+SNAP_TOL = 1e-8  # cohomologous, index_equal, z8_encode: the largest |v - root| snapped
+GAUGE_SNAP_TOL = 1e-6  # snap_cocycle: the same for cocycles of det-gauged implementers
 
 
 def _check_order(N: int, what: str = "common root order") -> None:
@@ -259,10 +263,7 @@ def _coboundary_elimination(twist: Z2Hom, modulus: int) -> Elimination:
 
 
 def cohomologous(
-    u1: TwistedCocycle,
-    u2: TwistedCocycle,
-    modulus: int | None = None,
-    snap_tol: float = 1e-8,
+    u1: TwistedCocycle, u2: TwistedCocycle, modulus: int | None = None
 ) -> tuple[bool, CocycleWitness | None]:
     """Decide u2 = u1 * (twisted coboundary of b) with b on the Z_M lattice.
 
@@ -278,8 +279,8 @@ def cohomologous(
     group, p = u1.group, u1.twist
     m = modulus if modulus is not None else default_modulus(u1, u2)
     error = ("v({g},{h}) = {value:.12g} does not lie on the "
-             f"{m}-th root lattice within {snap_tol:.1e}")
-    a1, a2 = (_on_lattice(u, m, snap_tol, error) for u in (u1, u2))
+             f"{m}-th root lattice within {SNAP_TOL:.1e}")
+    a1, a2 = (_on_lattice(u, m, SNAP_TOL, error) for u in (u1, u2))
     rhs = (a2 - a1) % m
 
     x = _coboundary_elimination(p, m).solve(rhs.ravel())
@@ -293,17 +294,34 @@ def cohomologous(
     return True, CocycleWitness(group, p, m, b)
 
 
-def snap_cocycle(u: TwistedCocycle, modulus: int, tol: float = 1e-6) -> TwistedCocycle:
+def snap_cocycle(u: TwistedCocycle, modulus: int) -> TwistedCocycle:
     """Replace floating phases by exact points of the modulus-th root lattice."""
-    error = "{value:.12g} is not a " + f"{modulus}-th root of unity within {tol:.1e}"
-    return _checked(_exact(u.group, u.twist, _on_lattice(u, modulus, tol, error), modulus))
+    error = "{value:.12g} is not a " + f"{modulus}-th root of unity within {GAUGE_SNAP_TOL:.1e}"
+    return _checked(
+        _exact(u.group, u.twist, _on_lattice(u, modulus, GAUGE_SNAP_TOL, error), modulus)
+    )
 
 
-def cocycle_of_rep(rep: ProjectiveRep, tol: float = 1e-8) -> TwistedCocycle:
+def det_gauge_class(group: FiniteGroup, twist: Z2Hom, ops) -> TwistedCocycle:
+    """The exact cocycle of the projective (anti-)unitaries ops[g] = (V_g, flag).
+
+    Rescaling each V_g to det V_g = 1 leaves the class alone and makes every
+    v(g,h)^N = 1, N = dim, so the values snap exactly onto the N-th roots:
+    the result does not depend on the phases the V_g came with.
+    """
+    n = ops[0][0].shape[0]
+    gauged = tuple(
+        pair(np.eye(n) if g == group.identity else m / np.exp(np.log(np.linalg.det(m)) / n), f)
+        for g, (m, f) in enumerate(ops)
+    )
+    return snap_cocycle(cocycle_of_rep(ProjectiveRep(group, twist, gauged)), n)
+
+
+def cocycle_of_rep(rep: ProjectiveRep) -> TwistedCocycle:
     """Extract v(g,h) from V_g V_h = v(g,h) V_gh.
 
     v(g,h) is read off as trace(V_g V_h (V_gh)^-1)/dim; the product must be
-    scalar within tol or the input is not a projective representation.
+    scalar within linalg.TOL or the input is not a projective representation.
     """
     group, dim = rep.group, rep.dim
     M = np.stack([m for m, _ in rep.ops])
@@ -313,8 +331,8 @@ def cocycle_of_rep(rep: ProjectiveRep, tol: float = 1e-8) -> TwistedCocycle:
     back = back @ M[group.table].conj().swapaxes(-1, -2)
     lam = np.trace(back, axis1=-2, axis2=-1) / dim
     resid = np.linalg.norm(back - lam[..., None, None] * np.eye(dim), axis=(-2, -1))
-    bad = resid > tol * np.maximum(1.0, np.abs(lam)) * dim
+    bad = resid > TOL * np.maximum(1.0, np.abs(lam)) * dim
     if bad.any():
         g, h = (int(i) for i in np.argwhere(bad)[0])
         raise NotProjectiveRep(f"V_{g} V_{h} (V_{g}{h})^-1 deviates from a scalar")
-    return validate_cocycle(group, rep.twist, lam, tol=max(1e-9, tol))
+    return validate_cocycle(group, rep.twist, lam, tol=TOL)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .cocycle import cocycle_of_rep
+from .cocycle import det_gauge_class
 from .errors import (
     DegenerateFixedPoint,
     DimensionMismatch,
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .group import FiniteGroup, Z2Hom, all_z2_homs, validate_hom_z2
 from .invariant import SPTIndex
-from .linalg import sign_match
+from .linalg import TOL, sign_match
 from .rep import ProjectiveRep, adjoint_action
 from .fock import subset_parity
 
@@ -48,16 +48,16 @@ def dual_transfer_matrix(v: np.ndarray) -> np.ndarray:
     return sum(np.kron(a.conj().T, a.T) for a in v)
 
 
-def transfer_fixed_point(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def transfer_fixed_point(v: np.ndarray) -> np.ndarray:
     """The unique positive trace-one solution of sum v^dag D v = D.
 
     Raises DegenerateFixedPoint when eigenvalue 1 of the dual transfer map
     is not simple, and NotPositive when the fixed point fails positivity.
     """
-    return _fixed_point_and_spectrum(v, tol)[0]
+    return _fixed_point_and_spectrum(v)[0]
 
 
-def _fixed_point_and_spectrum(v, tol=1e-9):
+def _fixed_point_and_spectrum(v):
     """transfer_fixed_point and the spectrum of the dual transfer matrix,
     the adjoint of the transfer matrix, so the conjugate of its spectrum."""
     v = np.asarray(v, dtype=complex)
@@ -71,7 +71,7 @@ def _fixed_point_and_spectrum(v, tol=1e-9):
     d = evecs[:, np.nonzero(at_one)[0][0]].reshape(m, m)
     d = (d + d.conj().T) / 2.0
     tr = np.trace(d).real
-    if abs(tr) < tol:
+    if abs(tr) < 1e-9:
         raise NotPositive("fixed point has vanishing trace")
     d = d / tr
     w = np.linalg.eigvalsh(d)
@@ -104,7 +104,7 @@ class FermionicMPS:
         return np.array([subset_parity(mask) for mask in fock.fock_masks(self.d)])
 
 
-def _validate_common(d, v, D, tol):
+def _validate_common(d, v, D):
     v = np.asarray(v, dtype=complex)
     nloc = 1 << d
     if v.ndim != 3 or v.shape[0] != nloc or v.shape[1] != v.shape[2]:
@@ -113,7 +113,7 @@ def _validate_common(d, v, D, tol):
         )
     m = v.shape[1]
     gram = sum(a @ a.conj().T for a in v)
-    if np.linalg.norm(gram - np.eye(m)) > tol * m:
+    if np.linalg.norm(gram - np.eye(m)) > TOL * m:
         scale = np.trace(gram).real / m
         raise InvalidMPS(
             "normalization sum_mu v_mu v_mu^dag = 1 fails; if the defect is a "
@@ -125,13 +125,13 @@ def _validate_common(d, v, D, tol):
         D = np.asarray(D, dtype=complex)
         if D.shape != (m, m):
             raise DimensionMismatch(f"D must be {m} x {m}")
-        if abs(np.trace(D) - 1.0) > tol:
+        if abs(np.trace(D) - 1.0) > TOL:
             raise InvalidMPS("D must have unit trace")
         w = np.linalg.eigvalsh((D + D.conj().T) / 2.0)
         if w.min() < -1e-10:
             raise NotPositive("D is not positive semidefinite")
         resid = sum(a.conj().T @ D @ a for a in v) - D
-        if np.linalg.norm(resid) > tol:
+        if np.linalg.norm(resid) > TOL:
             raise InvalidMPS("D is not a fixed point of the dual transfer map")
         evals = np.linalg.eigvals(transfer_matrix(v))
     w = np.linalg.eigvalsh((D + D.conj().T) / 2.0)
@@ -148,22 +148,22 @@ def _validate_common(d, v, D, tol):
     return v, D, m
 
 
-def even_mps(d: int, v, theta, D=None, tol: float = 1e-8) -> FermionicMPS:
+def even_mps(d: int, v, theta, D=None) -> FermionicMPS:
     """Validate and build an even fermionic MPS."""
-    v, D, m = _validate_common(d, v, D, tol)
+    v, D, m = _validate_common(d, v, D)
     theta = np.asarray(theta, dtype=complex)
     if theta.shape != (m, m):
         raise DimensionMismatch(f"Theta must be {m} x {m}")
-    if np.linalg.norm(theta - theta.conj().T) > tol * m or np.linalg.norm(
+    if np.linalg.norm(theta - theta.conj().T) > TOL * m or np.linalg.norm(
         theta @ theta - np.eye(m)
-    ) > tol * m:
+    ) > TOL * m:
         raise InvalidMPS("Theta must be a self-adjoint unitary")
     sigma0 = None
     parities = [subset_parity(mask) for mask in fock.fock_masks(d)]
     for mask, a in enumerate(v):
-        if np.linalg.norm(a) <= tol:
+        if np.linalg.norm(a) <= TOL:
             continue
-        s = sign_match(theta @ a @ theta, a, tol)
+        s = sign_match(theta @ a @ theta, a)
         if s is None:
             raise InvalidMPS(f"v[{mask}] is not homogeneous under Ad_Theta")
         offset = (s + parities[mask]) % 2
@@ -171,14 +171,14 @@ def even_mps(d: int, v, theta, D=None, tol: float = 1e-8) -> FermionicMPS:
             sigma0 = offset
         elif sigma0 != offset:
             raise InvalidMPS("no single parity offset sigma0 fits all v_mu")
-    if np.linalg.norm(theta @ D @ theta - D) > tol:
+    if np.linalg.norm(theta @ D @ theta - D) > TOL:
         raise InvalidMPS("D must commute with Theta")
     return FermionicMPS("even", d, m, v, D, theta, sigma0 or 0)
 
 
-def odd_mps(d: int, v, sigma0: int, D=None, tol: float = 1e-8) -> FermionicMPS:
+def odd_mps(d: int, v, sigma0: int, D=None) -> FermionicMPS:
     """Validate and build an odd fermionic MPS (sigma0 is input data)."""
-    v, D, m = _validate_common(d, v, D, tol)
+    v, D, m = _validate_common(d, v, D)
     return FermionicMPS("odd", d, m, v, D, None, int(sigma0) % 2)
 
 
@@ -261,9 +261,12 @@ def density_matrix(mps: FermionicMPS, l: int) -> np.ndarray:
     # the global parity sum_k |a_k| and the sign weight sum_k k |a_k|
     par = mps.site_parities()
     prods = np.eye(mps.m, dtype=complex)[None]
+    wide = np.hstack(mps.v)  # [v_0 | v_1 | ...]
     parity = weight = np.zeros(1, dtype=int)
     for k in range(sites):
-        prods = np.einsum("aij,mjk->amik", prods, mps.v).reshape(-1, mps.m, mps.m)
+        # every P_a v_mu in one matrix product: rows (a, i), columns (mu, j)
+        prods = (prods.reshape(-1, mps.m) @ wide).reshape(-1, mps.m, mps.nloc, mps.m)
+        prods = prods.transpose(0, 2, 1, 3).reshape(-1, mps.m, mps.m)
         parity = (parity[:, None] + par).reshape(-1)
         weight = (weight[:, None] + k * par).reshape(-1)
     w, u = np.linalg.eigh((mps.D + mps.D.conj().T) / 2.0)
@@ -304,23 +307,22 @@ class SymmetryPhases:
     q: Z2Hom | None          # odd kind: the parity character that fit
 
 
-def _covariance_residual(mps, sym, g, qval, tol):
-    """Fit c_g in sum_mu F[mu,nu] v_mu = c_g W_g v_nu W_g^-1 over all nu."""
+def _covariance_sides(mps, sym, g):
+    """(sum_mu F[mu,nu] v_mu, W_g v_nu W_g^-1) over all nu, F the Fock lift of U_g."""
     fmat, _ = fock.second_quantize(sym.rep_site.op(g)[0], sym.twist(g))
     lhs = np.einsum("mn,mij->nij", fmat, mps.v)
-    if mps.kind == "odd" and qval:
-        signs = np.where(mps.site_parities() % 2, -1.0, 1.0)
-        lhs = lhs * signs[:, None, None]
-    rhs = np.stack([adjoint_action(sym.rep_bond.op(g), a) for a in mps.v])
+    return lhs, np.stack([adjoint_action(sym.rep_bond.op(g), a) for a in mps.v])
+
+
+def _fit_phase(lhs, rhs):
+    """Least-squares c_g in lhs = c_g rhs, with the relative residual."""
     denom = np.vdot(rhs, rhs)
     c = np.vdot(rhs, lhs) / denom if abs(denom) > 0 else 0.0
     resid = np.linalg.norm(lhs - c * rhs) / max(1.0, np.linalg.norm(lhs))
     return complex(c), float(resid)
 
 
-def check_symmetry(
-    mps: FermionicMPS, sym: OnSiteSymmetry, tol: float = 1e-8
-) -> SymmetryPhases:
+def check_symmetry(mps: FermionicMPS, sym: OnSiteSymmetry) -> SymmetryPhases:
     """Extract the phases c_g; for the odd kind also the character q.
 
     Raises SymmetryViolated when no phase fits within tolerance, and
@@ -335,43 +337,42 @@ def check_symmetry(
         candidates = [sym.q]
     else:
         candidates = all_z2_homs(group)
+    # the sides do not depend on q: lift and conjugate once per g
+    sides = [_covariance_sides(mps, sym, g) for g in group.elements()]
+    signs = np.where(mps.site_parities() % 2, -1.0, 1.0)[:, None, None]
     last_error = None
     for q in candidates:
         cs, resids = [], []
-        ok = True
-        for g in group.elements():
-            qval = q(g) if q is not None else 0
-            c, resid = _covariance_residual(mps, sym, g, qval, tol)
-            if resid > tol:
-                ok = False
+        for g, (lhs, rhs) in zip(group.elements(), sides):
+            c, resid = _fit_phase(lhs * signs if q is not None and q(g) else lhs, rhs)
+            if resid > TOL:
                 last_error = SymmetryViolated(
                     f"covariance fails at group element {g}: residual {resid:.3e}"
                 )
                 break
             cs.append(c)
             resids.append(resid)
-        if ok:
+        else:
             return SymmetryPhases(np.array(cs), np.array(resids), q)
     if mps.kind == "odd" and sym.q is None:
         raise NoConsistentQ("no parity character satisfies the covariance relation")
     raise last_error
 
 
-def fmps_index(mps: FermionicMPS, sym: OnSiteSymmetry, tol: float = 1e-8) -> SPTIndex:
+def fmps_index(mps: FermionicMPS, sym: OnSiteSymmetry) -> SPTIndex:
     """The SPT index carried by a symmetric fermionic MPS.
 
     kappa is the kind; q comes from the action on the bond grading (even)
     or from the validated sign character (odd); the class is that of the
-    bond representation.
+    bond representation, exact and independent of the phases of the W_g.
     """
-    phases = check_symmetry(mps, sym, tol)
+    phases = check_symmetry(mps, sym)
     group = sym.group
     if mps.kind == "even":
         error = "bond action of {g} sends Theta to neither +/- itself"
-        q = validate_hom_z2(group, sym.rep_bond.sign_character(mps.theta, error, tol))
+        q = validate_hom_z2(group, sym.rep_bond.sign_character(mps.theta, error))
         kappa = 0
     else:
         q = phases.q
         kappa = 1
-    cls = cocycle_of_rep(sym.rep_bond, tol)
-    return SPTIndex(kappa, q, cls)
+    return SPTIndex(kappa, q, det_gauge_class(group, sym.twist, sym.rep_bond.ops))

@@ -37,7 +37,7 @@ def parity_operator(d: int) -> np.ndarray:
     return np.diag(np.array(signs, dtype=complex))
 
 
-def second_quantize(u: np.ndarray, flag: int = 0, tol: float = 1e-9) -> Pair:
+def second_quantize(u: np.ndarray, flag: int = 0) -> Pair:
     """Lift a d x d (anti-)unitary to the 2^d-dimensional Fock space.
 
     Entry (mu, nu) is det(u[mu, nu]) when #mu = #nu and zero otherwise.
@@ -48,7 +48,7 @@ def second_quantize(u: np.ndarray, flag: int = 0, tol: float = 1e-9) -> Pair:
     d = u.shape[0]
     if u.shape != (d, d):
         raise NotUnitary(f"expected a square matrix, got {u.shape}")
-    if np.linalg.norm(u @ u.conj().T - np.eye(d)) > tol * max(1, d):
+    if np.linalg.norm(u @ u.conj().T - np.eye(d)) > 1e-9 * max(1, d):
         raise NotUnitary("one-particle map is not unitary within tolerance")
     dim = 1 << d
     out = np.zeros((dim, dim), dtype=complex)

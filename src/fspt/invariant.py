@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import (
+    SNAP_TOL,
     TwistedCocycle,
     cocycle_product,
     cohomologous,
@@ -71,17 +72,12 @@ def stack_index(i1: SPTIndex, i2: SPTIndex) -> SPTIndex:
     return SPTIndex(kappa, q, cls)
 
 
-def index_equal(
-    i1: SPTIndex,
-    i2: SPTIndex,
-    modulus: int | None = None,
-    snap_tol: float = 1e-8,
-) -> bool:
+def index_equal(i1: SPTIndex, i2: SPTIndex, modulus: int | None = None) -> bool:
     """Componentwise equality; the classes are compared up to coboundary."""
     _check_compatible(i1, i2)
     if i1.kappa % 2 != i2.kappa % 2 or not i1.q.same_as(i2.q):
         return False
-    ok, _ = cohomologous(i1.cls, i2.cls, modulus=modulus, snap_tol=snap_tol)
+    ok, _ = cohomologous(i1.cls, i2.cls, modulus=modulus)
     return ok
 
 
@@ -107,12 +103,12 @@ Z8_IDENTITY = Z8Element(0, 0, 1)
 Z8_GENERATOR = Z8Element(1, 0, 1)
 
 
-def z8_encode(index: SPTIndex, tol: float = 1e-8) -> Z8Element:
+def z8_encode(index: SPTIndex) -> Z8Element:
     """Collapse an index on anti-unitary Z2 to its [kappa; eps, sign] triple."""
     group = index.group
     if group.n != 2 or index.twist(1) != 1:
         raise NotTimeReversalShape("requires G = Z2 with p(1) = 1")
-    snapped = index.cls(1, 1).try_snap(2, tol)
+    snapped = index.cls(1, 1).try_snap(2, SNAP_TOL)
     if snapped is None:
         raise NotTimeReversalShape(
             f"class value v(1,1) = {index.cls(1, 1).value:.6g} is not a sign"

@@ -93,14 +93,14 @@ class ProjectiveRep:
     def act(self, g: int, x: np.ndarray) -> np.ndarray:
         return adjoint_action(self.ops[g], x)
 
-    def sign_character(self, x: np.ndarray, error: str, tol: float = 1e-8) -> list[int]:
+    def sign_character(self, x: np.ndarray, error: str) -> list[int]:
         """s(g) in {0, 1} with V_g x V_g^-1 = (-1)^s(g) x for every g.
 
         GradingActionIndeterminate(error with {g} filled in) at the first g
         that sends x to neither +/- x."""
         signs = []
         for g in self.group.elements():
-            s = sign_match(self.act(g, x), x, tol)
+            s = sign_match(self.act(g, x), x)
             if s is None:
                 raise GradingActionIndeterminate(error.format(g=g))
             signs.append(s)

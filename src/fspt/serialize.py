@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cocycle import TwistedCocycle, default_modulus, validate_cocycle
+from .cocycle import TwistedCocycle, validate_cocycle
 from .errors import InvalidMPS, InvalidSystem
 from .fmps import FermionicMPS, OnSiteSymmetry, even_mps, odd_mps
 from .group import FiniteGroup, Z2Hom, validate_group, validate_hom_z2
@@ -65,18 +65,8 @@ def hom_from_json(group: FiniteGroup, data) -> Z2Hom:
     return validate_hom_z2(group, data["values"])
 
 
-def cocycle_to_json(u: TwistedCocycle, snap_modulus: int | None = None) -> dict:
-    """Emit a cocycle; floating phases are snapped to exact form if possible."""
-    phases = []
-    for g in u.group.elements():
-        row = []
-        for h in u.group.elements():
-            p = u(g, h)
-            if not p.is_exact and snap_modulus:
-                snapped = p.try_snap(snap_modulus, 1e-9)
-                p = snapped if snapped is not None else p
-            row.append(phase_to_json(p))
-        phases.append(row)
+def cocycle_to_json(u: TwistedCocycle) -> dict:
+    phases = [[phase_to_json(u(g, h)) for h in u.group.elements()] for g in u.group.elements()]
     return {
         "group": group_to_json(u.group),
         "twist": hom_to_json(u.twist),
@@ -155,7 +145,7 @@ def index_to_json(index: SPTIndex) -> dict:
     return {
         "kappa": index.kappa,
         "q": index.q.values.tolist(),
-        "cocycle": cocycle_to_json(index.cls, snap_modulus=default_modulus(index.cls)),
+        "cocycle": cocycle_to_json(index.cls),
     }
 
 

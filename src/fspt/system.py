@@ -35,7 +35,7 @@ from .algebra import (
     implementer,
     require_one_orbit,
 )
-from .cocycle import cocycle_of_rep, snap_cocycle
+from .cocycle import det_gauge_class
 from .errors import (
     DimensionTooLarge,
     GroupMismatch,
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .group import FiniteGroup, Z2Hom, validate_hom_z2
 from .invariant import SPTIndex
-from .linalg import vec
+from .linalg import TOL, vec
 from .rep import ProjectiveRep, pair
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -78,12 +78,12 @@ class GradedSystem:
     def twist(self) -> Z2Hom:
         return self.action.twist
 
-    def _validate_action(self, tol: float = 1e-8):
+    def _validate_action(self):
         """The action must preserve the algebra and commute with the grading.
 
         Both conditions are multiplicative, so checking generators suffices.
         """
-        size = lambda m: tol * np.maximum(1.0, np.linalg.norm(vec(m), axis=-1))
+        size = lambda m: TOL * np.maximum(1.0, np.linalg.norm(vec(m), axis=-1))
         for g in self.group.elements():
             moved = self.action.act(g, self.algebra.generators)
             swap = self.gamma @ moved @ self.gamma
@@ -151,7 +151,7 @@ def system_from_generators(
 
 
 def classify(
-    sys: GradedSystem, tol: float = 1e-8, blocks: list[np.ndarray] | None = None
+    sys: GradedSystem, blocks: list[np.ndarray] | None = None
 ) -> tuple[int, np.ndarray]:
     """Decide kappa and produce the marker unitary.
 
@@ -162,24 +162,24 @@ def classify(
     center.  Its trace is a multiple of the block multiplicity r and
     vanishes exactly when A holds an odd self-adjoint unitary.
     """
-    conj = graded_conjugate(sys.algebra, sys.gamma, tol)
+    conj = graded_conjugate(sys.algebra, sys.gamma)
     # (B - Gamma B Gamma)/2 projects an orthonormal basis onto A^(1), so its
     # squared norm is the integer dim A^(1)
     if np.linalg.norm(sys.algebra.basis - conj) ** 2 / 4.0 < 0.5:
         raise NotBalanced("trivially graded: no odd elements at all")
-    blocks = block_decomposition(sys.algebra, tol) if blocks is None else blocks
+    blocks = block_decomposition(sys.algebra) if blocks is None else blocks
     require_one_orbit(grading_permutation(blocks, sys.gamma))
     if len(blocks) == 2:
         return 1, 2.0 * central_projection(blocks[0]) - np.eye(sys.algebra.ambient)
 
     v = blocks[0]
-    marker = block_element(v, grading_unitary(v, sys.gamma, tol))
+    marker = block_element(v, grading_unitary(v, sys.gamma))
     if abs(np.trace(marker)) > v.shape[2] / 2.0:
         raise NotBalanced("no odd self-adjoint unitary found in the algebra")
     return 0, marker
 
 
-def compute_index(sys: GradedSystem, tol: float = 1e-8) -> SPTIndex:
+def compute_index(sys: GradedSystem) -> SPTIndex:
     """The (kappa, q, class) invariant of a graded system.
 
     The cohomology class is always read off implementers of the action on
@@ -188,10 +188,10 @@ def compute_index(sys: GradedSystem, tol: float = 1e-8) -> SPTIndex:
     representation on K); this stays correct when the ambient realization
     carries multiplicity, e.g. after stacking.
     """
-    blocks = block_decomposition(sys.algebra, tol)
-    kappa, marker = classify(sys, tol, blocks)
+    blocks = block_decomposition(sys.algebra)
+    kappa, marker = classify(sys, blocks)
     error = "action of {g} sends the marker to neither +/- itself"
-    q = validate_hom_z2(sys.group, sys.action.sign_character(marker, error, tol))
+    q = validate_hom_z2(sys.group, sys.action.sign_character(marker, error))
     v = blocks[0]
     if kappa:
         v = np.concatenate([v, sys.gamma @ v], axis=-1)
@@ -200,19 +200,12 @@ def compute_index(sys: GradedSystem, tol: float = 1e-8) -> SPTIndex:
     for g in sys.group.elements():
         op, flag = sys.action.op(g)
         w, resid = implementer(v, op, flag)
-        if resid > tol * N:
+        if resid > TOL * N:
             raise MarkerNotFound(
                 f"implementer for {g} fails to reproduce the action ({resid:.2e})"
             )
-        # determinant gauge: pins the cocycle onto the N-th root lattice
-        if g == sys.group.identity:
-            w = np.eye(N, dtype=complex)
-        else:
-            w = w / np.exp(np.log(np.linalg.det(w)) / N)
-        ops.append(pair(w, flag))
-    implementers = ProjectiveRep(sys.group, sys.twist, tuple(ops))
-    cls = snap_cocycle(cocycle_of_rep(implementers, tol), N, 1e-6)
-    return SPTIndex(kappa, q, cls)
+        ops.append((w, flag))
+    return SPTIndex(kappa, q, det_gauge_class(sys.group, sys.twist, ops))
 
 
 def stack_systems(s1: GradedSystem, s2: GradedSystem) -> GradedSystem:

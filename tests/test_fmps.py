@@ -25,6 +25,7 @@ from fspt import (
     trivial_hom,
     validate_hom_z2,
 )
+from fspt import serialize
 from fspt.cocycle import cocycle_of_rep
 from fspt.errors import (
     DegenerateFixedPoint,
@@ -419,6 +420,16 @@ def test_fmps_index_even_d1():
     idx = fmps_index(even_mps_d1(), even_d1_symmetry())
     assert idx.kappa == 0
     assert list(idx.q.values) == [0, 0]  # sz commutes with Theta = sz
+
+
+def test_fmps_index_independent_of_bond_phases():
+    mps, sym = even_mps_d1(), even_d1_symmetry()
+    rescaled = OnSiteSymmetry(sym.rep_site, sym.rep_bond.rescaled([1.0, np.exp(0.3j)]))
+    base, moved = fmps_index(mps, sym), fmps_index(mps, rescaled)
+    assert moved.cls.is_exact and moved.cls.close_to(base.cls)
+    assert cohomologous(moved.cls, trivial_cocycle(cyclic(2)))[0]
+    phases = serialize.index_to_json(moved)["cocycle"]["phases"]
+    assert all(set(cell) == {"k", "N"} for row in phases for cell in row)
 
 
 def test_fmps_index_cluster_class():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fspt import Phase, cyclic, klein, validate_hom_z2
+from fspt import Phase, cyclic, klein, trivial_cocycle, validate_hom_z2
 from fspt import serialize
 from fspt.cli import run
 from conftest import (
@@ -110,6 +110,33 @@ def test_unknown_subcommand_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "--in", "{system}", "--word", "[[1,0]]"],  # a flag index does not read
+        ["cohomologous", "--in", "{u}", "--in2", "{u}", "--tol", "1e-8"],  # fixed thresholds
+        ["group-check", "--in", "{group}", "--json"],  # JSON needs no flag
+        ["fmps-index", "--in", "{both}"],  # the symmetry comes only from --in2
+    ],
+)
+def test_cli_usage_errors_exit_2(argv, tmp_path):
+    inputs = {
+        "system": serialize.system_to_json(tr_system(0, SY, 1)),
+        "u": serialize.cocycle_to_json(trivial_cocycle(cyclic(2))),
+        "group": serialize.group_to_json(cyclic(2)),
+        "both": {
+            **serialize.mps_to_json(majorana_mps(1)),
+            **serialize.symmetry_to_json(majorana_symmetry()),
+        },
+    }
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in inputs.items()}
+    try:
+        code = run([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    assert code == 2
 
 
 def test_cohomologous_cli_with_caveat(tmp_path, capsys):
