@@ -49,9 +49,6 @@ class OperatorAlgebra:
     def basis_rows(self) -> np.ndarray:
         return vec(self.basis)
 
-    def contains(self, mat: np.ndarray) -> bool:
-        return linalg.in_span(self.basis_rows, mat)
-
     def conjugated(self, t: np.ndarray) -> "OperatorAlgebra":
         """Image under Ad_T, T unitary; orthonormality is preserved."""
         move = lambda mats: np.einsum("ij,ajk,lk->ail", t, mats, t.conj())
@@ -246,9 +243,14 @@ def implementer(v: np.ndarray, op: np.ndarray, flag: int = 0) -> tuple[np.ndarra
 
 
 def graded_conjugate(algebra: OperatorAlgebra, gamma: np.ndarray) -> np.ndarray:
-    """Gamma B Gamma for every basis element B; NotGraded if Ad_Gamma leaves A."""
-    conj = gamma @ algebra.basis @ gamma
-    if linalg.residual_norms(algebra.basis_rows, vec(conj)).max(initial=0.0) > TOL:
+    """Gamma x Gamma for every generator x; NotGraded if Ad_Gamma leaves A.
+
+    Ad_Gamma is multiplicative, so it preserves A exactly when it maps every
+    generator into A.
+    """
+    conj = gamma @ algebra.generators @ gamma
+    size = TOL * np.maximum(1.0, np.linalg.norm(vec(conj), axis=-1))
+    if (linalg.residual_norms(algebra.basis_rows, vec(conj)) > size).any():
         raise NotGraded("Ad_Gamma does not preserve the algebra")
     return conj
 
@@ -256,7 +258,8 @@ def graded_conjugate(algebra: OperatorAlgebra, gamma: np.ndarray) -> np.ndarray:
 def graded_split(algebra: OperatorAlgebra, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Even and odd orthonormal bases of A under Ad_Gamma; NotGraded if Ad_Gamma
     does not preserve A."""
-    conj = graded_conjugate(algebra, gamma)
+    graded_conjugate(algebra, gamma)
+    conj = gamma @ algebra.basis @ gamma
     return (
         linalg.orthonormal_matrices((algebra.basis + conj) / 2.0),
         linalg.orthonormal_matrices((algebra.basis - conj) / 2.0),

@@ -114,19 +114,6 @@ def _exact(group, twist, table, N: int) -> TwistedCocycle:
     return TwistedCocycle(group, twist, table // g, N // g)
 
 
-def cocycle_defect(
-    u: TwistedCocycle, f: int, g: int, h: int
-) -> Phase:
-    """conj^p(f)(v(g,h)) v(f,gh) / (v(f,g) v(fg,h)); equals 1 for a cocycle.
-
-    The scalar reference for the broadcast in :func:`validate_cocycle`.
-    """
-    grp, p = u.group, u.twist
-    num = u(g, h).conj_pow(p(f)) * u(f, grp.mul(g, h))
-    den = u(f, g) * u(grp.mul(f, g), h)
-    return num * den.inverse()
-
-
 def _checked(u: TwistedCocycle, tol: float = 1e-9) -> TwistedCocycle:
     """Check normalization, then the twisted identity on every (f,g,h) at once."""
     a, T, e = u.table, u.group.table, u.group.identity
@@ -306,8 +293,10 @@ def det_gauge_class(group: FiniteGroup, twist: Z2Hom, ops) -> TwistedCocycle:
     """The exact cocycle of the projective (anti-)unitaries ops[g] = (V_g, flag).
 
     Rescaling each V_g to det V_g = 1 leaves the class alone and makes every
-    v(g,h)^N = 1, N = dim, so the values snap exactly onto the N-th roots:
-    the result does not depend on the phases the V_g came with.
+    v(g,h)^N = 1, N = dim, so the values snap exactly onto the N-th roots.
+    det^(1/N) fixes V_g only up to an N-th root of unity, so the class does
+    not depend on the phases the V_g came with but the representative does:
+    compare results with cohomologous, not entry by entry.
     """
     n = ops[0][0].shape[0]
     gauged = tuple(

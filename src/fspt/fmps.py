@@ -43,11 +43,6 @@ def transfer_matrix(v: np.ndarray) -> np.ndarray:
     return sum(np.kron(a, a.conj()) for a in v)
 
 
-def dual_transfer_matrix(v: np.ndarray) -> np.ndarray:
-    """Row-major matrix of x -> sum_mu v_mu^dag x v_mu."""
-    return sum(np.kron(a.conj().T, a.T) for a in v)
-
-
 def transfer_fixed_point(v: np.ndarray) -> np.ndarray:
     """The unique positive trace-one solution of sum v^dag D v = D.
 
@@ -58,11 +53,12 @@ def transfer_fixed_point(v: np.ndarray) -> np.ndarray:
 
 
 def _fixed_point_and_spectrum(v):
-    """transfer_fixed_point and the spectrum of the dual transfer matrix,
-    the adjoint of the transfer matrix, so the conjugate of its spectrum."""
+    """transfer_fixed_point and the spectrum of the dual transfer matrix
+    x -> sum v^dag x v, the adjoint of the transfer matrix, so the conjugate
+    of its spectrum."""
     v = np.asarray(v, dtype=complex)
     m = v.shape[-1]
-    evals, evecs = np.linalg.eig(dual_transfer_matrix(v))
+    evals, evecs = np.linalg.eig(transfer_matrix(v).conj().T)
     at_one = np.abs(evals - 1.0) < 1e-8
     if int(at_one.sum()) != 1:
         raise DegenerateFixedPoint(
@@ -251,27 +247,26 @@ def density_matrix(mps: FermionicMPS, l: int) -> np.ndarray:
     """
     sites = l + 1
     total = mps.nloc ** sites
-    need = 16 * total * (total + 2 * mps.m * mps.m)  # rho, the products and F
+    need = 16 * total * (total + 2 * mps.m * mps.m)  # rho and F, twice while a site is appended
     if need > RHO_BYTE_BUDGET:
         raise SizeTooLarge(
             f"density matrix of {sites} sites at d={mps.d}, m={mps.m} needs "
             f"{need} bytes, over the budget of {RHO_BYTE_BUDGET} bytes"
         )
-    # per occupation sequence a, big-endian: the product P_a = v_a0 ... v_al,
+    # per occupation sequence a, big-endian: F_a = D^(1/2) v_a0 ... v_al,
     # the global parity sum_k |a_k| and the sign weight sum_k k |a_k|
     par = mps.site_parities()
-    prods = np.eye(mps.m, dtype=complex)[None]
+    w, u = np.linalg.eigh((mps.D + mps.D.conj().T) / 2.0)
+    prods = ((u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T)[None]
     wide = np.hstack(mps.v)  # [v_0 | v_1 | ...]
     parity = weight = np.zeros(1, dtype=int)
     for k in range(sites):
-        # every P_a v_mu in one matrix product: rows (a, i), columns (mu, j)
+        # every F_a v_mu in one matrix product: rows (a, i), columns (mu, j)
         prods = (prods.reshape(-1, mps.m) @ wide).reshape(-1, mps.m, mps.nloc, mps.m)
         prods = prods.transpose(0, 2, 1, 3).reshape(-1, mps.m, mps.m)
         parity = (parity[:, None] + par).reshape(-1)
         weight = (weight[:, None] + k * par).reshape(-1)
-    w, u = np.linalg.eigh((mps.D + mps.D.conj().T) / 2.0)
-    droot = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    flat = (droot[None] @ prods).reshape(total, -1)  # F_a = D^(1/2) P_a
+    flat = prods.reshape(total, -1)
     if mps.kind == "odd" and mps.sigma0:
         flat[weight % 2 == 1] *= -1.0
     gram = flat @ flat.conj().T  # gram[mu, nu] = s_mu s_nu Tr(D P_mu P_nu^dag)
@@ -364,7 +359,8 @@ def fmps_index(mps: FermionicMPS, sym: OnSiteSymmetry) -> SPTIndex:
 
     kappa is the kind; q comes from the action on the bond grading (even)
     or from the validated sign character (odd); the class is that of the
-    bond representation, exact and independent of the phases of the W_g.
+    bond representation, exact, with a representative that may move with
+    the phases of the W_g (see det_gauge_class).
     """
     phases = check_symmetry(mps, sym)
     group = sym.group

@@ -108,12 +108,10 @@ def z8_encode(index: SPTIndex) -> Z8Element:
     group = index.group
     if group.n != 2 or index.twist(1) != 1:
         raise NotTimeReversalShape("requires G = Z2 with p(1) = 1")
-    snapped = index.cls(1, 1).try_snap(2, SNAP_TOL)
-    if snapped is None:
-        raise NotTimeReversalShape(
-            f"class value v(1,1) = {index.cls(1, 1).value:.6g} is not a sign"
-        )
-    sign = 1 if snapped.is_one() else -1
+    v = complex(index.cls.values()[1, 1])
+    sign = 1 if v.real > 0 else -1
+    if abs(v - sign) > SNAP_TOL:
+        raise NotTimeReversalShape(f"class value v(1,1) = {v:.6g} is not a sign")
     return Z8Element(index.kappa % 2, index.q(1), sign)
 
 

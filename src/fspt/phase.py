@@ -1,10 +1,9 @@
-"""Unit-modulus phases.
+"""Unit-modulus phases as value records.
 
 A :class:`Phase` is either exact, stored as a root of unity exp(2*pi*i*k/N)
-with canonical (k, N), or floating, stored as a unit complex number.  Exact
-phases stay exact under multiplication, conjugation and powers; a floating
-phase infects products.  Floating phases can be snapped back onto a root
-lattice when they are close enough to one.
+with canonical (k, N), or floating, stored as a unit complex number.  It
+only carries a value: cocycles do their phase arithmetic and root-lattice
+snapping on int64 exponent tables (see :mod:`fspt.cocycle`).
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NotRootOfUnity, NotUnitPhase
-
-TWO_PI = 2.0 * math.pi
+from .errors import NotUnitPhase
 
 
 @dataclass(frozen=True)
@@ -77,50 +74,6 @@ class Phase:
         if 2 * self.k == self.N:
             return -1.0 + 0.0j
         return cmath.exp(2j * math.pi * self.k / self.N)
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        if self.is_exact and other.is_exact:
-            n = self.N * other.N // gcd(self.N, other.N)
-            return Phase.exact(self.k * (n // self.N) + other.k * (n // other.N), n)
-        return Phase(0, 0, self.value * other.value)
-
-    def conj(self) -> "Phase":
-        if self.is_exact:
-            return Phase.exact(-self.k, self.N)
-        return Phase(0, 0, self.z.conjugate())
-
-    def conj_pow(self, flag: int) -> "Phase":
-        """Apply complex conjugation ``flag`` times (flag in {0, 1})."""
-        return self.conj() if flag % 2 else self
-
-    def inverse(self) -> "Phase":
-        return self.conj()
-
-    def __pow__(self, n: int) -> "Phase":
-        if self.is_exact:
-            return Phase.exact(self.k * n, self.N)
-        return Phase(0, 0, self.value ** n)
-
-    def try_snap(self, modulus: int, tol: float = 1e-6) -> "Phase | None":
-        """Nearest point of the modulus-th root lattice, or None if too far."""
-        if self.is_exact:
-            if modulus % self.N == 0:
-                return Phase.exact(self.k * (modulus // self.N), modulus)
-            # fall through and snap numerically, e.g. N=3 onto modulus=6
-        ang = cmath.phase(self.value) / TWO_PI  # in (-1/2, 1/2]
-        k = round(ang * modulus) % modulus
-        root = Phase.exact(k, modulus)
-        if abs(root.value - self.value) > tol:
-            return None
-        return root
-
-    def snap(self, modulus: int, tol: float = 1e-6) -> "Phase":
-        snapped = self.try_snap(modulus, tol)
-        if snapped is None:
-            raise NotRootOfUnity(
-                f"{self.value:.12g} is not a {modulus}-th root of unity within {tol:.1e}"
-            )
-        return snapped
 
     def close_to(self, other: "Phase", tol: float = 1e-9) -> bool:
         if self.is_exact and other.is_exact:

@@ -162,10 +162,10 @@ def classify(
     center.  Its trace is a multiple of the block multiplicity r and
     vanishes exactly when A holds an odd self-adjoint unitary.
     """
-    conj = graded_conjugate(sys.algebra, sys.gamma)
-    # (B - Gamma B Gamma)/2 projects an orthonormal basis onto A^(1), so its
-    # squared norm is the integer dim A^(1)
-    if np.linalg.norm(sys.algebra.basis - conj) ** 2 / 4.0 < 0.5:
+    # A^(1) = 0 exactly when every generator is even
+    gens = vec(sys.algebra.generators)
+    odd = np.linalg.norm(gens - vec(graded_conjugate(sys.algebra, sys.gamma)), axis=-1)
+    if (odd <= TOL * np.maximum(1.0, np.linalg.norm(gens, axis=-1))).all():
         raise NotBalanced("trivially graded: no odd elements at all")
     blocks = block_decomposition(sys.algebra) if blocks is None else blocks
     require_one_orbit(grading_permutation(blocks, sys.gamma))

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from fspt import (
     validate_group,
     validate_hom_z2,
 )
-from fspt.cocycle import TwistedCocycle, _coboundary_elimination, cocycle_defect
+from fspt.cocycle import TwistedCocycle, _coboundary_elimination
 from fspt.errors import (
     CocycleIdentityFails,
     MismatchedGroup,
@@ -39,6 +40,21 @@ Z2 = cyclic(2)
 P_ID = validate_hom_z2(Z2, [0, 1])
 P_TRIV = trivial_hom(Z2)
 V4 = klein()
+
+
+def cocycle_defect(u, f, g, h):
+    """conj^p(f)(v(g,h)) v(f,gh) / (v(f,g) v(fg,h)) as a Phase; 1 for a cocycle.
+
+    The scalar reference for the broadcast in validate_cocycle: exact
+    Fraction angles when all four entries are exact, complex values otherwise.
+    """
+    grp = u.group
+    entries = (u(g, h), u(f, grp.mul(g, h)), u(f, g), u(grp.mul(f, g), h))
+    powers = ((-1) ** u.twist(f), 1, -1, -1)
+    if all(x.is_exact for x in entries):
+        angle = sum(s * Fraction(x.k, x.N) for s, x in zip(powers, entries))
+        return Phase.exact(angle.numerator, angle.denominator)
+    return Phase.from_complex(np.prod([x.value ** s for s, x in zip(powers, entries)]))
 
 
 def phase_table(group, entries):
@@ -70,7 +86,7 @@ def test_i_valued_table_twist_decides():
     # untwisted: v(1,1) = i is killed by a coboundary with b(1)^2 = -i
     u = validate_cocycle(Z2, P_TRIV, table)
     ok, witness = cohomologous(u, trivial_cocycle(Z2, P_TRIV), modulus=8)
-    assert ok and (witness.b[1] ** 2) == Phase.exact(3, 4)
+    assert ok and Phase.exact(2 * witness.b[1].k, witness.b[1].N) == Phase.exact(3, 4)
     assert witness.verify(u, trivial_cocycle(Z2, P_TRIV))
     # with the anti-unitary twist the defect at (1,1,1) is conj(i)/i = -1
     assert cocycle_defect(
@@ -191,7 +207,7 @@ def test_repeated_calls_share_one_unchanged_elimination(rng):
 def test_pauli_class_not_trivial_modulus8():
     rep = ProjectiveRep.build(V4, trivial_hom(V4), [PAULI_REP[g] for g in range(4)])
     u = cocycle_of_rep(rep)
-    ratio = u(2, 1) * u(1, 2).inverse()
+    ratio = Phase.from_complex(u(2, 1).value / u(1, 2).value)
     assert ratio.close_to(Phase.minus_one())
     ok, _ = cohomologous(u, trivial_cocycle(V4), modulus=8)
     assert not ok
@@ -366,7 +382,8 @@ def _agreement_table(group, twist, rng, kind, perturb):
         others = [x for x in group.elements() if x != group.identity]
         g, h = others[rng.integers(len(others))], others[rng.integers(len(others))]
         if table[g, h].is_exact:
-            table[g, h] = table[g, h] * Phase.exact(int(rng.integers(1, modulus)), modulus)
+            k, N = table[g, h].k, table[g, h].N
+            table[g, h] = Phase.exact(k * modulus + int(rng.integers(1, modulus)) * N, N * modulus)
         else:
             shift = complex(np.exp(1j * rng.uniform(1e-3, 1.0)))
             table[g, h] = Phase.from_complex(table[g, h].value * shift)

@@ -1,10 +1,9 @@
 import cmath
 
 import pytest
-from hypothesis import given, strategies as st
 
 from fspt import Phase
-from fspt.errors import NotRootOfUnity, NotUnitPhase
+from fspt.errors import NotUnitPhase
 
 
 def test_exact_canonical_form():
@@ -19,38 +18,15 @@ def test_value_special_points():
     assert abs(Phase.exact(1, 4).value - 1j) < 1e-15
 
 
-@given(st.integers(-20, 20), st.integers(1, 24), st.integers(-20, 20), st.integers(1, 24))
-def test_exact_product_matches_complex(k1, n1, k2, n2):
-    p, q = Phase.exact(k1, n1), Phase.exact(k2, n2)
-    prod = p * q
-    assert prod.is_exact
-    assert abs(prod.value - p.value * q.value) < 1e-12
-
-
-@given(st.integers(-20, 20), st.integers(1, 24))
-def test_conj_inverse_power(k, n):
-    p = Phase.exact(k, n)
-    assert (p * p.inverse()).is_one()
-    assert p.conj().value == pytest.approx(p.value.conjugate())
-    assert (p ** 3).value == pytest.approx(p.value ** 3)
-
-
-def test_float_mode_and_snap():
+def test_float_mode():
     z = cmath.exp(2j * cmath.pi * 3 / 8) * (1 + 1e-12)
     p = Phase.from_complex(z)
     assert not p.is_exact
-    assert p.snap(8) == Phase.exact(3, 8)
-    with pytest.raises(NotRootOfUnity):
-        Phase.from_complex(cmath.exp(0.37j)).snap(8, tol=1e-6)
 
 
 def test_non_unit_rejected():
     with pytest.raises(NotUnitPhase):
         Phase.from_complex(1.1)
-
-
-def test_exact_snap_divides():
-    assert Phase.exact(1, 3).snap(6) == Phase.exact(2, 6)
 
 
 def test_coerce_int_signs():

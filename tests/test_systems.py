@@ -5,6 +5,7 @@ import pytest
 
 from fspt import (
     ProjectiveRep,
+    SPTIndex,
     all_z2_homs,
     Phase,
     Z8Element,
@@ -22,6 +23,7 @@ from fspt import (
     trivial_cocycle,
     trivial_hom,
     trivial_index,
+    validate_cocycle,
     validate_hom_z2,
     z8_compose,
     z8_elements,
@@ -34,6 +36,7 @@ from fspt.errors import (
     GroupMismatch,
     InvalidSystem,
     NotBalanced,
+    NotGraded,
     NotTimeReversalShape,
 )
 from fspt.invariant import Z8_GENERATOR, Z8_IDENTITY, z8_decode
@@ -101,6 +104,21 @@ def test_classify_not_balanced():
         np.eye(2, dtype=complex),
         trivial_group_rep(2),
     )
+    with pytest.raises(NotBalanced):
+        classify(sysm)
+
+
+def test_classify_rejects_a_grading_that_moves_a_generator_out():
+    """span{1, sz} with Gamma the Hadamard: Ad_Gamma sends sz to sx."""
+    sysm = system_from_generators([SZ], HADAMARD, trivial_group_rep(2))
+    with pytest.raises(NotGraded):
+        classify(sysm)
+
+
+def test_classify_trivially_graded_non_factor_is_not_balanced():
+    """C (+) C = span{1, sz} graded by 1: no odd element, and the two fixed
+    blocks would also violate centrality; balancedness is decided first."""
+    sysm = system_from_generators([SZ], I2, trivial_group_rep(2))
     with pytest.raises(NotBalanced):
         classify(sysm)
 
@@ -248,6 +266,13 @@ def test_z8_encode_requires_tr_shape():
         z8_encode(idx)
 
 
+def test_z8_encode_reads_a_floating_sign():
+    z2, pid = tr_group()
+    cls = validate_cocycle(z2, pid, [[1, 1], [1, complex(-1.0, 1e-10)]])
+    assert not cls.is_exact
+    assert z8_encode(SPTIndex(0, pid, cls)) == Z8Element(0, 1, -1)
+
+
 def test_z8_decode_round_trip():
     z2, pid = tr_group()
     for e in z8_elements():
@@ -309,6 +334,19 @@ def test_phase_gauge_invariance(rng):
     rep = sysm.action.rescaled([1.0, lam])
     moved = GradedSystem(sysm.algebra, sysm.gamma, rep, form=sysm.form)
     assert index_equal(compute_index(moved), base)
+
+
+@pytest.mark.parametrize("grid", [v4_trivial_grid, twisted_klein_grid, d4_grid, q8_grid])
+def test_index_equal_under_random_action_phases(grid, rng):
+    """Rescaling every V_g by a random phase keeps the index; the printed
+    representative may move, since det V_g = 1 fixes V_g up to an N-th root."""
+    cells = grid()
+    for key in ((0, 1, 1), (1, 1, 1)):
+        sysm = cells[key]
+        lams = np.exp(2j * np.pi * rng.random(sysm.group.n))
+        lams[sysm.group.identity] = 1.0
+        moved = GradedSystem(sysm.algebra, sysm.gamma, sysm.action.rescaled(lams))
+        assert index_equal(compute_index(moved), compute_index(sysm)), key
 
 
 def test_componentwise_law_matches_formula():

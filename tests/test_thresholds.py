@@ -20,8 +20,6 @@ COMPARATORS = {
     "Phase.from_complex",  # validate_cocycle's tolerance, through Phase.coerce
     "Phase.coerce",
     "Phase.close_to",
-    "Phase.try_snap",
-    "Phase.snap",  # the raising form of try_snap
     "Phase.is_one",
     "TwistedCocycle.close_to",
     "CocycleWitness.verify",
