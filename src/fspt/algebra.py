@@ -1,11 +1,11 @@
 """Finite-dimensional operator *-algebras with a Z2 grading.
 
-The central object is :class:`OperatorAlgebra`: an orthonormal basis of a
-unital *-subalgebra of M_n together with a small generating set.  On top of
-it live the Koszul-signed tensor product, graded splittings, and the
-randomized block decomposition into matrix units from which commutants,
-graded centers, (grading) implementers and odd self-adjoint unitaries are
-read off.
+The central object is :class:`OperatorAlgebra`: a unital *-subalgebra of
+M_n held by a small generating set and the matrix units of its simple
+blocks, found once by a randomized decomposition when the algebra is
+built.  Membership, commutants, graded centers, (grading) implementers and
+odd self-adjoint unitaries are read off the units; the Koszul-signed
+tensor product and graded splittings live here too.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import (
     CentralityViolation,
     DegreeUntagged,
     DimensionTooLarge,
+    InvalidSystem,
     MarkerNotFound,
     NotGraded,
 )
@@ -32,56 +33,76 @@ DECOMPOSITION_ATTEMPTS = 6  # fresh random elements tried by block_decomposition
 class OperatorAlgebra:
     """Unital *-closed subalgebra of M_n.
 
-    ``basis`` is orthonormal under the trace inner product; ``generators``
-    is any set known to generate the algebra (used to keep checks of an
-    action and graded products small).
+    ``blocks`` holds the matrix units of every simple block as an isometry
+    V of shape (N_b, n, r_b), with E_ij = V_i V_j^dag; ``generators`` is any
+    set known to generate the algebra (used to keep checks of an action and
+    graded products small).
     """
 
-    basis: np.ndarray       # (k, n, n)
-    generators: np.ndarray  # (g, n, n)
+    generators: np.ndarray      # (g, n, n)
+    blocks: tuple[np.ndarray, ...]
     ambient: int
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return sum(v.shape[0] ** 2 for v in self.blocks)
 
     @property
-    def basis_rows(self) -> np.ndarray:
-        return vec(self.basis)
+    def basis(self) -> np.ndarray:
+        """Orthonormal basis E_ij / sqrt(r_b) under the trace inner product."""
+        n = self.ambient
+        return np.concatenate(
+            [
+                np.einsum("inx,jmx->ijnm", v, v.conj()).reshape(-1, n, n) / np.sqrt(v.shape[2])
+                for v in self.blocks
+            ]
+        )
+
+    def outside(self, mats: np.ndarray) -> np.ndarray:
+        """Which x lie off A by more than TOL * max(1, |x|).
+
+        The compression onto the units, sum_b F_b (w_b (x) 1) F_b^dag with
+        w_b = Tr_r(F_b^dag x F_b) / r_b, fixes x exactly when x is in A.
+        """
+        resid = np.array(mats, dtype=complex)
+        for v in self.blocks:
+            N, _, r = v.shape
+            f = flat_isometry(v)
+            w = np.einsum("aixjx->aij", (f.conj().T @ mats @ f).reshape(-1, N, r, N, r)) / r
+            resid -= block_element(v, w)
+        size = np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))
+        return np.linalg.norm(resid, axis=(-2, -1)) > TOL * size
 
     def conjugated(self, t: np.ndarray) -> "OperatorAlgebra":
-        """Image under Ad_T, T unitary; orthonormality is preserved."""
-        move = lambda mats: np.einsum("ij,ajk,lk->ail", t, mats, t.conj())
-        return OperatorAlgebra(move(self.basis), move(self.generators), self.ambient)
+        """Image under Ad_T, T unitary; the units move with it."""
+        gens = np.einsum("ij,ajk,lk->ail", t, self.generators, t.conj())
+        return OperatorAlgebra(gens, tuple(t @ v for v in self.blocks), self.ambient)
 
 
 def full_matrix_algebra(n: int) -> OperatorAlgebra:
-    units = np.zeros((n * n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            units[i * n + j, i, j] = 1.0
-    # clock and shift generate M_n for n >= 2
+    # clock and shift generate M_n for n >= 2; the units are e_i e_j^dag
     if n == 1:
         gens = np.eye(1, dtype=complex)[None]
     else:
         shift = np.roll(np.eye(n, dtype=complex), 1, axis=1)
         clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
         gens = np.stack([shift, clock])
-    return OperatorAlgebra(units, gens, n)
+    return OperatorAlgebra(gens, (np.eye(n, dtype=complex)[:, :, None],), n)
 
 
 def algebra_closure(generators) -> OperatorAlgebra:
     """Smallest unital *-algebra containing the generators.
 
     Iterates left multiplication by the (adjoint-closed) generator set,
-    re-orthonormalizing until the span is stable.
+    re-orthonormalizing until the span is stable, then decomposes that
+    span with random elements drawn from it.
     """
     gens = np.asarray(generators, dtype=complex)
     if gens.ndim == 2:
         gens = gens[None]
     n = gens.shape[-1]
     if gens.shape[-2] != n:
-        raise DimensionTooLarge("generators must be square matrices")
+        raise InvalidSystem("generators must be square matrices")
     if n > MAX_AMBIENT:
         raise DimensionTooLarge(f"ambient dimension {n} exceeds {MAX_AMBIENT}")
 
@@ -99,71 +120,86 @@ def algebra_closure(generators) -> OperatorAlgebra:
         basis = onb_rows(np.concatenate([basis, rows]))
         if basis.shape[0] > n * n:
             raise AssertionError("closure exceeded the ambient operator space")
-    return OperatorAlgebra(unvec(basis, n), gens, n)
+    k = basis.shape[0]
+    rng = np.random.default_rng(0x5EED)
+    gauss = lambda: rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return block_decomposition(gens, k, lambda: np.einsum("k,kij->ij", gauss(), mats))
+
+
+def graded_tensor_algebra(a1, gamma1, a2, gamma2) -> OperatorAlgebra:
+    """A1 (x)^ A2 = span{a Gamma1^deg(b) (x) b}, generated by the products of
+    A1's generators with 1 and of 1 with the homogeneous parts of A2's.  Its
+    random elements are sum_ij E_ij (x) y_ij + E_ij Gamma1 (x) z_ij over the
+    units E_ij of A1, with y_ij / z_ij even / odd Gaussian elements of A2.
+    """
+    swaps = gamma2 @ a2.generators @ gamma2
+    floor = 1e-10 * np.maximum(1.0, np.linalg.norm(a2.generators, axis=(1, 2)))  # zero parts
+    gens = [np.kron(a, np.eye(a2.ambient)) for a in a1.generators]
+    for factor, parity in ((np.eye(a1.ambient), 1.0), (gamma1, -1.0)):
+        parts = (a2.generators + parity * swaps) / 2.0
+        gens += [np.kron(factor, b) for b, f in zip(parts, floor) if np.linalg.norm(b) > f]
+    rng = np.random.default_rng(0x5EED)
+    units, basis2 = a1.basis, a2.basis
+    left = np.concatenate([units, units @ gamma1])
+    sign = np.repeat([1.0, -1.0], len(units))[:, None, None]
+    n = a1.ambient * a2.ambient
+
+    def draw():
+        shape = (len(left), len(basis2))
+        y = np.tensordot(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), basis2, 1)
+        right = (y + sign * (gamma2 @ y @ gamma2)) / 2.0
+        return np.tensordot(left, right, (0, 0)).transpose(0, 2, 1, 3).reshape(n, n)
+
+    return block_decomposition(np.stack(gens), a1.dim * a2.dim, draw)
 
 
 def commutant(algebra: OperatorAlgebra) -> OperatorAlgebra:
-    """A' read off the block decomposition.
-
-    A = (+)_b M_{N_b} (x) 1_{r_b} has A' = (+)_b 1_{N_b} (x) M_{r_b}, with
-    orthonormal basis sum_i V_i e_xy V_i^dag / sqrt(N_b) for x, y < r_b.
-    """
-    n = algebra.ambient
-    if n > MAX_AMBIENT:
-        raise DimensionTooLarge(f"ambient dimension {n} exceeds {MAX_AMBIENT}")
-    mats = np.concatenate(
-        [
-            np.einsum("inx,imy->xynm", v, v.conj()).reshape(-1, n, n) / np.sqrt(v.shape[0])
-            for v in block_decomposition(algebra)
-        ]
-    )
-    return OperatorAlgebra(mats, mats, n)
+    """A' read off the units: A = (+)_b M_{N_b} (x) 1_{r_b} has
+    A' = (+)_b 1_{N_b} (x) M_{r_b}, whose units swap the two legs of A's,
+    V'_x[:, i] = V_i[:, x].  The units E'_0y generate it."""
+    blocks = tuple(np.transpose(v, (2, 1, 0)) for v in algebra.blocks)
+    gens = np.concatenate([v[0] @ np.conj(np.transpose(v, (0, 2, 1))) for v in blocks])
+    return OperatorAlgebra(gens, blocks, algebra.ambient)
 
 
 def center_within(algebra: OperatorAlgebra) -> np.ndarray:
     """Orthonormal basis of Z(A): the normalized central projections Q_b."""
-    qs = np.stack([central_projection(v) for v in block_decomposition(algebra)])
+    qs = np.stack([central_projection(v) for v in algebra.blocks])
     return qs / np.sqrt(np.trace(qs, axis1=1, axis2=2).real)[:, None, None]
 
 
-def block_decomposition(algebra: OperatorAlgebra) -> list[np.ndarray]:
-    """Matrix units of every simple block of A, as isometries.
+def block_decomposition(generators: np.ndarray, dim: int, draw) -> OperatorAlgebra:
+    """The algebra of dimension ``dim`` generated by ``generators``, with the
+    matrix units of every simple block; ``draw()`` returns a random element.
 
     H = (+)_b C^{N_b} (x) C^{r_b} with A = (+)_b M_{N_b} (x) 1.  A generic
     self-adjoint element of A has one eigenvalue cluster per minimal
     projection P_c; a second generic element x links them, P_c x P_d != 0
     exactly when c and d lie in one block (Murota, Kanno, Kojima & Kojima,
     JJIAM 27, 2010).  Block b comes back as V of shape (N_b, n, r_b) with
-    matrix units E_ij = V_i V_j^dag.
+    matrix units E_ij = V_i V_j^dag.  The units span a unital *-algebra;
+    when it holds every generator and sum_b N_b^2 = dim, it is A.
     """
-    k, n = algebra.dim, algebra.ambient
-    rng = np.random.default_rng(0x5EED)
-
-    def random_element():
-        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        return np.einsum("k,kij->ij", c, algebra.basis)
-
+    n = generators.shape[-1]
     for _ in range(DECOMPOSITION_ATTEMPTS):
-        h = random_element()
+        h = draw()
         evals, evecs = np.linalg.eigh(h + h.conj().T)
         splits = np.nonzero(np.diff(evals) > 1e-6 * max(1.0, evals[-1] - evals[0]))[0]
         clusters = np.split(np.arange(n), splits + 1)
-        projections = np.stack([evecs[:, c] @ evecs[:, c].conj().T for c in clusters])
-        scale = np.maximum(1.0, np.linalg.norm(projections, axis=(1, 2)))
-        if (linalg.residual_norms(algebra.basis_rows, vec(projections)) > TOL * scale).any():
-            continue
-        x = evecs.conj().T @ random_element() @ evecs
+        x = evecs.conj().T @ draw() @ evecs
         onehot = np.repeat(np.eye(len(clusters)), [len(c) for c in clusters], axis=0)
         linked = onehot.T @ np.abs(x) ** 2 @ onehot > (TOL * np.linalg.norm(x)) ** 2
         first = np.argmax(linked, axis=1)  # the lowest cluster of each block
         if not (linked == (first[:, None] == first[None, :])).all():
             continue
-        blocks = [
+        blocks = tuple(
             _block_isometries(evecs, x, [clusters[c] for c in np.flatnonzero(first == b)])
             for b in np.unique(first)
-        ]
-        if all(v is not None for v in blocks) and sum(v.shape[0] ** 2 for v in blocks) == k:
-            return blocks
+        )
+        if all(v is not None for v in blocks):
+            algebra = OperatorAlgebra(generators, blocks, n)
+            if algebra.dim == dim and not algebra.outside(generators).any():
+                return algebra
     raise MarkerNotFound("could not build matrix units for the algebra")
 
 
@@ -199,9 +235,12 @@ def central_projection(v: np.ndarray) -> np.ndarray:
 
 
 def block_element(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_ij w_ij E_ij: the element of one block with coordinates w in M_N."""
+    """sum_ij w_ij E_ij = F (w (x) 1_r) F^dag: the element of one block with
+    coordinates w in M_N, for w of shape (..., N, N)."""
+    N, _, r = v.shape
     f = flat_isometry(v)
-    return f @ np.kron(w, np.eye(v.shape[2])) @ f.conj().T
+    w = (w[..., :, None, :, None] * np.eye(r)[:, None, :]).reshape(w.shape[:-2] + (N * r, N * r))
+    return f @ w @ f.conj().T
 
 
 def grading_permutation(blocks: list[np.ndarray], gamma: np.ndarray) -> np.ndarray:
@@ -249,8 +288,7 @@ def graded_conjugate(algebra: OperatorAlgebra, gamma: np.ndarray) -> np.ndarray:
     generator into A.
     """
     conj = gamma @ algebra.generators @ gamma
-    size = TOL * np.maximum(1.0, np.linalg.norm(vec(conj), axis=-1))
-    if (linalg.residual_norms(algebra.basis_rows, vec(conj)) > size).any():
+    if algebra.outside(conj).any():
         raise NotGraded("Ad_Gamma does not preserve the algebra")
     return conj
 
@@ -259,10 +297,11 @@ def graded_split(algebra: OperatorAlgebra, gamma: np.ndarray) -> tuple[np.ndarra
     """Even and odd orthonormal bases of A under Ad_Gamma; NotGraded if Ad_Gamma
     does not preserve A."""
     graded_conjugate(algebra, gamma)
-    conj = gamma @ algebra.basis @ gamma
+    basis = algebra.basis
+    conj = gamma @ basis @ gamma
     return (
-        linalg.orthonormal_matrices((algebra.basis + conj) / 2.0),
-        linalg.orthonormal_matrices((algebra.basis - conj) / 2.0),
+        linalg.orthonormal_matrices((basis + conj) / 2.0),
+        linalg.orthonormal_matrices((basis - conj) / 2.0),
     )
 
 
@@ -328,7 +367,7 @@ def graded_center_split(algebra: OperatorAlgebra, gamma: np.ndarray):
     The odd unitary is Q_1 - Q_2, or None when the odd center vanishes.
     """
     graded_conjugate(algebra, gamma)  # grading sanity
-    blocks = block_decomposition(algebra)
+    blocks = algebra.blocks
     require_one_orbit(grading_permutation(blocks, gamma))
     n = algebra.ambient
     even = np.eye(n, dtype=complex)[None] / np.sqrt(n)
@@ -344,11 +383,10 @@ def grading_implementer(algebra: OperatorAlgebra, gamma: np.ndarray) -> np.ndarr
     Read off the block decomposition; None unless A is a factor preserved
     by Ad_Gamma.
     """
-    blocks = block_decomposition(algebra)
-    if len(blocks) != 1:
+    if len(algebra.blocks) != 1:
         return None
-    w, resid = implementer(blocks[0], gamma)
-    return None if resid > TOL * w.shape[0] else block_element(blocks[0], w)
+    w, resid = implementer(algebra.blocks[0], gamma)
+    return None if resid > TOL * w.shape[0] else block_element(algebra.blocks[0], w)
 
 
 def find_odd_selfadjoint_unitary(algebra: OperatorAlgebra, gamma: np.ndarray) -> np.ndarray | None:
@@ -360,7 +398,7 @@ def find_odd_selfadjoint_unitary(algebra: OperatorAlgebra, gamma: np.ndarray) ->
     eigenspaces of u have equal dimension.
     """
     graded_conjugate(algebra, gamma)  # grading sanity
-    blocks = block_decomposition(algebra)
+    blocks = algebra.blocks
     out = np.zeros((algebra.ambient, algebra.ambient), dtype=complex)
     for b, c in enumerate(grading_permutation(blocks, gamma)):
         if c > b:

@@ -47,17 +47,10 @@ def orthonormal_matrices(mats) -> np.ndarray:
     return unvec(onb_rows(vec(mats), floor=1.0), n)
 
 
-def span_coefficients(basis_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return rows @ basis_rows.conj().T
-
-
-def project_rows(basis_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return span_coefficients(basis_rows, rows) @ basis_rows
-
-
 def residual_norms(basis_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Distance of each row from the span of orthonormal ``basis_rows``."""
     rows = np.atleast_2d(rows)
-    return np.linalg.norm(rows - project_rows(basis_rows, rows), axis=-1)
+    return np.linalg.norm(rows - (rows @ basis_rows.conj().T) @ basis_rows, axis=-1)
 
 
 def in_span(basis_rows: np.ndarray, mat: np.ndarray, tol: float = TOL) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cocycle import TwistedCocycle, validate_cocycle
-from .errors import InvalidMPS, InvalidSystem
+from .errors import DimensionMismatch, InvalidMPS, InvalidSystem
 from .fmps import FermionicMPS, OnSiteSymmetry, even_mps, odd_mps
 from .group import FiniteGroup, Z2Hom, validate_group, validate_hom_z2
 from .invariant import SPTIndex
@@ -31,10 +31,13 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[-1] != 2:
-        raise InvalidSystem("matrix JSON must be nested [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    try:
+        arr = np.asarray(data, dtype=float)
+        if arr.ndim == 3 and arr.shape[-1] == 2:
+            return arr[..., 0] + 1j * arr[..., 1]
+    except (TypeError, ValueError):  # ragged rows or non-numbers
+        pass
+    raise InvalidSystem("matrix JSON must be nested [re, im] pairs")
 
 
 def phase_to_json(p: Phase) -> dict:
@@ -120,10 +123,11 @@ def system_from_json(data) -> GradedSystem:
     twist = hom_from_json(group, data["p"])
     action = rep_from_json(group, twist, data["action"])
     form = data.get("form", "generators")
-    if form == "R0":
-        return r0_system(action, int(data["K_dim"]))
-    if form == "R1":
-        return r1_system(action, int(data["K_dim"]))
+    if form in ("R0", "R1"):
+        k_dim = data["K_dim"]
+        if not isinstance(k_dim, int):
+            raise InvalidSystem(f"K_dim must be an integer, got {k_dim!r}")
+        return (r0_system if form == "R0" else r1_system)(action, k_dim)
     if form == "generators":
         gamma = matrix_from_json(data["gamma"])
         gens = []
@@ -137,7 +141,11 @@ def system_from_json(data) -> GradedSystem:
                         "declared generator degree does not match the grading"
                     )
             gens.append(m)
-        return system_from_generators(np.stack(gens), gamma, action)
+        try:
+            gens = np.stack(gens)
+        except ValueError:
+            raise InvalidSystem("generators must be a nonempty list of matrices of one shape")
+        return system_from_generators(gens, gamma, action)
     raise InvalidSystem(f"unknown system form {form!r}")
 
 
@@ -178,6 +186,8 @@ def mps_from_json(data) -> FermionicMPS:
         v = np.stack([matrix_from_json(data["v"][str(mask)]) for mask in range(nloc)])
     except KeyError as missing:
         raise InvalidMPS(f"missing bond matrix for occupation {missing}")
+    except ValueError:
+        raise DimensionMismatch("bond matrices v must share one shape")
     dmat = matrix_from_json(data["D"]) if "D" in data else None
     if data["kind"] == "even":
         return even_mps(d, v, matrix_from_json(data["Theta"]), dmat)

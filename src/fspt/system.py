@@ -23,13 +23,11 @@ from .algebra import (
     MAX_AMBIENT,
     OperatorAlgebra,
     algebra_closure,
-    block_decomposition,
     block_element,
     central_projection,
     full_matrix_algebra,
     graded_conjugate,
-    graded_split,
-    graded_tensor,
+    graded_tensor_algebra,
     grading_permutation,
     grading_unitary,
     implementer,
@@ -88,22 +86,12 @@ class GradedSystem:
             moved = self.action.act(g, self.algebra.generators)
             swap = self.gamma @ moved @ self.gamma
             drift = swap - self.action.act(g, self.gamma @ self.algebra.generators @ self.gamma)
-            leaves = linalg.residual_norms(self.algebra.basis_rows, vec(moved)) > size(moved)
+            leaves = self.algebra.outside(moved)
             mixes = np.linalg.norm(vec(drift), axis=-1) > size(swap)
             first = np.argmax(leaves | mixes)  # the first failing generator, if any
             if leaves[first] or mixes[first]:
                 what = "preserve the algebra" if leaves[first] else "commute with the grading"
                 raise InvalidSystem(f"action of {g} does not {what}")
-
-    def homogeneous_generators(self) -> list[tuple[np.ndarray, int]]:
-        """Nonzero homogeneous parts of the generators, with degrees."""
-        out = []
-        for x in self.algebra.generators:
-            swap = self.gamma @ x @ self.gamma
-            for mat, deg in (((x + swap) / 2.0, 0), ((x - swap) / 2.0, 1)):
-                if np.linalg.norm(mat) > 1e-10 * max(1.0, np.linalg.norm(x)):
-                    out.append((mat, deg))
-        return out
 
     def conjugated(self, t: np.ndarray) -> "GradedSystem":
         """Transport the whole system by a unitary t (an equivalence)."""
@@ -128,17 +116,12 @@ def r1_system(action: ProjectiveRep, k_dim: int) -> GradedSystem:
     """Standard form with kappa = 1: B(K) (x) span{1, sigma_x}."""
     if action.dim != 2 * k_dim:
         raise InvalidSystem(f"action dimension {action.dim} != 2 * {k_dim}")
-    n = 2 * k_dim
-    units = full_matrix_algebra(k_dim).basis
-    basis = np.concatenate(
-        [
-            np.stack([np.kron(u, np.eye(2, dtype=complex)) for u in units]),
-            np.stack([np.kron(u, _SX) for u in units]),
-        ]
-    ) / np.sqrt(2.0)
     gens = [np.kron(g, np.eye(2, dtype=complex)) for g in full_matrix_algebra(k_dim).generators]
     gens.append(np.kron(np.eye(k_dim, dtype=complex), _SX))
-    algebra = OperatorAlgebra(basis, np.stack(gens), n)
+    # span{1, sigma_x} = C|+><+| (+) C|-><-|: units e_i (x) |+-> of two blocks
+    plus_minus = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    units = tuple(np.kron(np.eye(k_dim), s)[:, :, None] for s in plus_minus[:, None, :])
+    algebra = OperatorAlgebra(np.stack(gens), units, 2 * k_dim)
     gamma = np.kron(np.eye(k_dim, dtype=complex), _SZ)
     return GradedSystem(algebra, gamma, action, form="R1")
 
@@ -150,12 +133,9 @@ def system_from_generators(
     return GradedSystem(algebra, np.asarray(gamma, dtype=complex), action)
 
 
-def classify(
-    sys: GradedSystem, blocks: list[np.ndarray] | None = None
-) -> tuple[int, np.ndarray]:
+def classify(sys: GradedSystem) -> tuple[int, np.ndarray]:
     """Decide kappa and produce the marker unitary.
 
-    ``blocks`` is the algebra's block decomposition, when already at hand.
     kappa = 1: two blocks swapped by Ad_Gamma; the marker Q_1 - Q_2 spans
     the odd center.  kappa = 0: one block; the marker is the self-adjoint
     in-algebra implementer of the grading, which generates the even-part
@@ -167,7 +147,7 @@ def classify(
     odd = np.linalg.norm(gens - vec(graded_conjugate(sys.algebra, sys.gamma)), axis=-1)
     if (odd <= TOL * np.maximum(1.0, np.linalg.norm(gens, axis=-1))).all():
         raise NotBalanced("trivially graded: no odd elements at all")
-    blocks = block_decomposition(sys.algebra) if blocks is None else blocks
+    blocks = sys.algebra.blocks
     require_one_orbit(grading_permutation(blocks, sys.gamma))
     if len(blocks) == 2:
         return 1, 2.0 * central_projection(blocks[0]) - np.eye(sys.algebra.ambient)
@@ -188,11 +168,10 @@ def compute_index(sys: GradedSystem) -> SPTIndex:
     representation on K); this stays correct when the ambient realization
     carries multiplicity, e.g. after stacking.
     """
-    blocks = block_decomposition(sys.algebra)
-    kappa, marker = classify(sys, blocks)
+    kappa, marker = classify(sys)
     error = "action of {g} sends the marker to neither +/- itself"
     q = validate_hom_z2(sys.group, sys.action.sign_character(marker, error))
-    v = blocks[0]
+    v = sys.algebra.blocks[0]
     if kappa:
         v = np.concatenate([v, sys.gamma @ v], axis=-1)
     N = v.shape[0]
@@ -220,27 +199,7 @@ def stack_systems(s1: GradedSystem, s2: GradedSystem) -> GradedSystem:
     n1, n2 = s1.algebra.ambient, s2.algebra.ambient
     if n1 * n2 > MAX_AMBIENT:
         raise DimensionTooLarge(f"ambient dimension {n1 * n2} exceeds {MAX_AMBIENT}")
-    eye1 = np.eye(n1, dtype=complex)
-    eye2 = np.eye(n2, dtype=complex)
-
-    gens = [np.kron(a, eye2) for a in s1.algebra.generators]
-    for b, deg in s2.homogeneous_generators():
-        gens.append(graded_tensor(eye1, s1.gamma, b, deg))
-
-    # the signed elementary tensors a Gamma1^deg(b) (x) b of orthonormal
-    # homogeneous bases are orthonormal and closed: they are the basis
-    even1, odd1 = graded_split(s1.algebra, s1.gamma)
-    even2, odd2 = graded_split(s2.algebra, s2.gamma)
-    left = np.concatenate([even1, odd1])
-    basis = np.concatenate(
-        [
-            (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(
-                -1, n1 * n2, n1 * n2
-            )
-            for a, b in ((left, even2), (left @ s1.gamma, odd2))
-        ]
-    )
-    algebra = OperatorAlgebra(basis, np.stack(gens), n1 * n2)
+    algebra = graded_tensor_algebra(s1.algebra, s1.gamma, s2.algebra, s2.gamma)
 
     error = "action of {g} sends the grading unitary to neither +/- itself"
     nu1 = s1.action.sign_character(s1.gamma, error)

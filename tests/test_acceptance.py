@@ -44,7 +44,7 @@ from fspt.algebra import algebra_closure, graded_tensor
 from fspt.cocycle import GAUGE_SNAP_TOL, SNAP_TOL
 from fspt.errors import SymmetryViolated
 from fspt.invariant import Z8_GENERATOR, Z8_IDENTITY
-from fspt.linalg import RANK_RTOL, TOL, in_span, onb_rows, vec
+from fspt.linalg import RANK_RTOL, TOL, in_span, nullspace_rows, onb_rows, vec
 from fspt.rep import pair
 from conftest import (
     I2,
@@ -354,6 +354,11 @@ def test_criterion_9_graded_commutant_prediction():
         right = [(I2, 0), (SX, 1), (SZ, 0), (SX @ SZ, 1)] if right_full else [(I2, 0), (SX, 1)]
         gens = [graded_tensor(a, SZ, b, db) for a, _ in left for b, db in right]
         comm = commutant(algebra_closure(gens))
+        # the reference A' from the generators alone: x with gx = xg for g, g^dag
+        eye = np.eye(4, dtype=complex)
+        reference = nullspace_rows(np.concatenate(
+            [np.kron(g, eye) - np.kron(eye, g.T) for g in gens + [g.conj().T for g in gens]]
+        ))
         predicted = []
         parts = m2_parts if left_full else cl_parts
         comm_right = m2_comm if right_full else cl_comm
@@ -363,7 +368,7 @@ def test_criterion_9_graded_commutant_prediction():
             predicted.extend(np.kron(a, b @ SZ) for b in comm_right)
         predicted = np.stack(predicted)
         rows = onb_rows(vec(predicted))
-        ok = ok and comm.dim == predicted.shape[0]
-        ok = ok and all(in_span(comm.basis_rows, m, 1e-8) for m in predicted)
+        ok = ok and comm.dim == predicted.shape[0] == reference.shape[0]
+        ok = ok and all(in_span(reference, m, 1e-8) for m in predicted)
         ok = ok and all(in_span(rows, m, 1e-8) for m in comm.basis)
     report(9, "graded tensor commutants", ok, "(4 cases)")

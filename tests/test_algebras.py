@@ -14,14 +14,13 @@ from fspt import (
     graded_tensor,
     operator_degree,
 )
-from fspt.algebra import block_decomposition
 from fspt.errors import (
     CentralityViolation,
     DegreeUntagged,
     DimensionTooLarge,
     NotGraded,
 )
-from fspt.linalg import in_span, is_selfadjoint_unitary, nullspace_rows, onb_rows, vec
+from fspt.linalg import in_span, is_selfadjoint_unitary, nullspace_rows, onb_rows, unvec, vec
 from conftest import I2, SX, SZ, random_unitary
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -34,6 +33,21 @@ def span_equal(a, b, tol=1e-8):
     return all(in_span(ra, m, tol) for m in b) and all(in_span(rb, m, tol) for m in a)
 
 
+def word_span(gens):
+    """Orthonormal rows spanning the words in the generators and their
+    adjoints: a reference for A built from the generators alone."""
+    gens = np.asarray(gens, dtype=complex)
+    n = gens.shape[-1]
+    mult = np.concatenate([gens, np.conj(np.transpose(gens, (0, 2, 1)))])
+    rows = onb_rows(vec(np.concatenate([np.eye(n, dtype=complex)[None], mult])))
+    while True:
+        words = vec(mult[:, None] @ unvec(rows, n)[None]).reshape(-1, n * n)
+        grown = onb_rows(np.concatenate([rows, words]))
+        if grown.shape[0] == rows.shape[0]:
+            return rows
+        rows = grown
+
+
 def test_closure_paulis_full():
     alg = algebra_closure([SX, SZ])
     assert alg.dim == 4
@@ -42,15 +56,17 @@ def test_closure_paulis_full():
 def test_closure_single_sx_two_dim():
     alg = algebra_closure([SX])
     assert alg.dim == 2
-    assert in_span(alg.basis_rows, np.eye(2))
-    assert in_span(alg.basis_rows, SX)
-    assert not in_span(alg.basis_rows, SZ)
+    assert span_equal(alg.basis, unvec(word_span([SX]), 2))
+    assert in_span(vec(alg.basis), np.eye(2))
+    assert in_span(vec(alg.basis), SX)
+    assert not in_span(vec(alg.basis), SZ)
 
 
 def test_closure_e11():
     alg = algebra_closure([E11])
     assert alg.dim == 2
-    assert in_span(alg.basis_rows, np.eye(2)) and in_span(alg.basis_rows, E11)
+    assert span_equal(alg.basis, unvec(word_span([E11]), 2))
+    assert in_span(vec(alg.basis), np.eye(2)) and in_span(vec(alg.basis), E11)
 
 
 def test_closure_dimension_cap():
@@ -62,9 +78,7 @@ def test_commutant_full_and_scalars():
     full = full_matrix_algebra(3)
     assert commutant(full).dim == 1
     scalars = OperatorAlgebra(
-        np.eye(3, dtype=complex)[None] / np.sqrt(3.0),
-        np.eye(3, dtype=complex)[None],
-        3,
+        np.eye(3, dtype=complex)[None], (np.eye(3, dtype=complex)[None],), 3
     )
     assert commutant(scalars).dim == 9
 
@@ -189,7 +203,7 @@ def test_commutant_of_graded_tensor_four_cases():
         predicted = np.stack(predicted)
         assert comm.dim == predicted.shape[0]
         rows = onb_rows(vec(predicted))
-        assert all(in_span(comm.basis_rows, m, 1e-8) for m in predicted)
+        assert all(in_span(vec(comm.basis), m, 1e-8) for m in predicted)
         assert all(in_span(rows, m, 1e-8) for m in comm.basis)
 
 
@@ -236,7 +250,7 @@ def test_find_odd_selfadjoint_unitary(rng):
         assert u is not None
         assert operator_degree(u, gamma) == 1
         assert is_selfadjoint_unitary(u, 1e-10)
-        assert in_span(alg.basis_rows, u)
+        assert in_span(word_span(alg.generators), u)
     trivially_graded = full_matrix_algebra(2)
     assert find_odd_selfadjoint_unitary(trivially_graded, np.eye(2, dtype=complex)) is None
     unbalanced = np.diag([1.0, 1.0, -1.0]).astype(complex)
@@ -249,7 +263,9 @@ def test_closure_invariant_under_conjugation(rng):
     moved = alg.conjugated(t)
     for m in moved.basis:
         assert abs(np.linalg.norm(m) - 1.0) < 1e-10
-    assert in_span(moved.basis_rows, t @ np.kron(SX, I2) @ t.conj().T)
+    reference = word_span(moved.generators)
+    assert span_equal(moved.basis, unvec(reference, 4))
+    assert in_span(reference, t @ np.kron(SX, I2) @ t.conj().T)
 
 
 def test_nullspace_rows_large_stack_keeps_the_svd_cut():
@@ -288,15 +304,16 @@ def test_block_decomposition_matrix_units(rng):
     """(M2 (x) 1_2) (+) M3 in a random basis: the units E_ij = V_i V_j^dag of
     every block lie in A, multiply as matrix units, sum to 1 and span A."""
     alg = _m2_x_1_plus_m3(rng)
-    blocks = block_decomposition(alg)
+    reference = word_span(alg.generators)
+    blocks = alg.blocks
     assert sorted(v.shape for v in blocks) == [(2, 7, 2), (3, 7, 1)]
     total = np.zeros((7, 7), dtype=complex)
     for v in blocks:
         units = np.einsum("inx,jmx->ijnm", v, v.conj())
-        assert all(in_span(alg.basis_rows, e) for e in units.reshape(-1, 7, 7))
+        assert all(in_span(reference, e) for e in units.reshape(-1, 7, 7))
         prods = np.einsum("ijab,klbc->ijklac", units, units)
         expected = np.einsum("jk,ilac->ijklac", np.eye(v.shape[0]), units)
         assert np.allclose(prods, expected, atol=1e-10)
         total += np.einsum("iiab->ab", units)
     assert np.allclose(total, np.eye(7), atol=1e-10)
-    assert sum(v.shape[0] ** 2 for v in blocks) == alg.dim
+    assert sum(v.shape[0] ** 2 for v in blocks) == reference.shape[0]

@@ -139,6 +139,67 @@ def test_cli_usage_errors_exit_2(argv, tmp_path):
     assert code == 2
 
 
+def _generators_form():
+    data = serialize.system_to_json(tr_system(0, SY, 1))
+    data.update(form="generators", gamma=serialize.matrix_to_json(np.diag([1.0, -1.0])))
+    data["generators"] = [{"matrix": serialize.matrix_to_json(m)} for m in (I2, SY)]
+    return data
+
+
+def _mixed_shapes(data):
+    data["generators"].append({"matrix": serialize.matrix_to_json(np.eye(3))})
+
+
+def _ragged_generator(data):
+    data["generators"][1]["matrix"][0].pop()
+
+
+def _non_square_generator(data):
+    data["generators"][1]["matrix"].pop()
+
+
+def _no_generators(data):
+    data["generators"] = []
+
+
+def _non_integer_k_dim(data):
+    data.update(form="R0", K_dim="one")
+
+
+def _ragged_v(data):
+    data["v"]["1"][0].pop()
+
+
+def _v_shapes_differ(data):
+    data["v"]["1"] = serialize.matrix_to_json(np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "command, mutate, token",
+    [
+        ("index", _mixed_shapes, "InvalidSystem"),
+        ("stack", _mixed_shapes, "InvalidSystem"),
+        ("index", _no_generators, "InvalidSystem"),
+        ("stack", _no_generators, "InvalidSystem"),
+        ("index", _ragged_generator, "InvalidSystem"),
+        ("index", _non_square_generator, "InvalidSystem"),
+        ("index", _non_integer_k_dim, "InvalidSystem"),
+        ("fmps-validate", _ragged_v, "InvalidSystem"),
+        ("fmps-validate", _v_shapes_differ, "DimensionMismatch"),
+    ],
+)
+def test_malformed_input_gives_an_error_token(command, mutate, token, tmp_path, capsys):
+    """Malformed matrices, generator lists, K_dim and MPS bond matrices exit 1
+    with a JSON error token, not a Python traceback."""
+    is_mps = command == "fmps-validate"
+    data = serialize.mps_to_json(even_mps_d2()) if is_mps else _generators_form()
+    mutate(data)
+    path = write(tmp_path, "bad.json", data)
+    argv = [command, "--in", path] + (["--in2", path] if command == "stack" else [])
+    assert run(argv) == 1
+    assert json.loads(capture(capsys))["error"] == token
+
+
 def test_cohomologous_cli_with_caveat(tmp_path, capsys):
     from fspt import epsilon, trivial_cocycle
 

@@ -5,6 +5,7 @@ import pytest
 
 from fspt import (
     ProjectiveRep,
+    algebra_closure,
     SPTIndex,
     all_z2_homs,
     Phase,
@@ -194,11 +195,46 @@ def test_stack_group_mismatch():
 
 
 def test_stack_size_guard_before_allocation():
-    """8 x 16 exceeds MAX_AMBIENT = 64; the guard fires before the basis is built."""
+    """8 x 16 exceeds MAX_AMBIENT = 64; the guard fires before any stacked matrix is formed."""
     small = r0_system(trivial_group_rep(8), 4)
     large = r0_system(trivial_group_rep(16), 8)
     with pytest.raises(DimensionTooLarge):
         stack_systems(small, large)
+
+
+def _block_shapes(algebra):
+    return sorted((v.shape[0], v.shape[2]) for v in algebra.blocks)
+
+
+def test_stacked_blocks_match_the_closure():
+    """stack_systems decomposes A1 (x)^ A2 from sampled graded products; its
+    blocks {(N_b, r_b)} are those of the closure of the stacked generators.
+    One operand is transported by a random unitary, the other closed from
+    its generators."""
+    rng = np.random.default_rng(11)
+    tr = list(tr_grid().values())
+    pairs = list(zip(tr[:4], reversed(tr[4:])))  # kappa 0 with kappa 1, ambient <= 8
+    for grid in (v4_trivial_grid(), twisted_klein_grid(), d4_grid(), q8_grid()):
+        pairs += [(grid[(ka, 1, 1)], grid[(kb, 2, 0)]) for ka in (0, 1) for kb in (0, 1)]
+    for a, b in pairs:
+        a = a.conjugated(random_unitary(a.algebra.ambient, rng))
+        b = system_from_generators(b.algebra.generators, b.gamma, b.action)
+        for stacked in (stack_systems(a, b), stack_systems(b, a)):
+            closure = algebra_closure(stacked.algebra.generators)
+            assert _block_shapes(stacked.algebra) == _block_shapes(closure)
+
+
+@pytest.mark.parametrize("grid", [v4_trivial_grid, twisted_klein_grid, q8_grid])
+def test_triple_stack_law_at_max_ambient(grid):
+    """Three ambient-4 cells stack to ambient 64 = MAX_AMBIENT, and the index
+    read off the stack obeys the law."""
+    cells = grid()
+    t = random_unitary(4, np.random.default_rng(12))
+    a, b, c = cells[(1, 1, 1)].conjugated(t), cells[(0, 2, 1)], cells[(1, 3, 1)]
+    stacked = stack_systems(stack_systems(a, b), c)
+    assert stacked.algebra.ambient == 64
+    law = stack_index(stack_index(compute_index(a), compute_index(b)), compute_index(c))
+    assert index_equal(compute_index(stacked), law)
 
 
 def test_stack_index_identity_law():
