@@ -130,19 +130,21 @@ def _cmd_fmps_validate(args) -> dict:
     }
 
 
-def _parse_word(text: str):
-    if not text:
-        raise KeyError("--word")
+def site_word(text: str) -> list[tuple[int, int]]:
+    """--word: a JSON list of [mu, nu] integer pairs; argparse exits 2 otherwise."""
     word = json.loads(text)
-    return [(int(mu), int(nu)) for mu, nu in word]
+    if not isinstance(word, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in word
+    ):
+        raise ValueError(text)
+    return [(mu, nu) for mu, nu in word]
 
 
 def _cmd_fmps_expect(args) -> dict:
     mps = serialize.mps_from_json(_load(args.infile))
-    word = _parse_word(args.word)
-    value = expectation(mps, word)
+    value = expectation(mps, args.word)
     return {
-        "word": [[mu, nu] for mu, nu in word],
+        "word": [[mu, nu] for mu, nu in args.word],
         "value": {
             "re": serialize.round_sig(value.real),
             "im": serialize.round_sig(value.imag),
@@ -198,7 +200,7 @@ _FLAGS = {
     "--in": dict(dest="infile", help="input JSON file"),
     "--in2": dict(dest="infile2", help="second input JSON file"),
     "--l": dict(type=int, default=1, help="chain length minus one"),
-    "--word": dict(help="site word as JSON, e.g. [[1,0],[0,1]]"),
+    "--word": dict(type=site_word, required=True, help="site word as JSON, e.g. [[1,0],[0,1]]"),
     "--modulus": dict(type=int, default=None, help="root lattice order"),
     "--table": dict(action="store_true", help="plain table instead of JSON"),
 }

@@ -3,9 +3,14 @@
 An even state is specified by bond matrices v indexed by on-site Fock
 occupations, a faithful fixed-point density matrix D of the dual transfer
 map, and a bond grading Theta; an odd state replaces Theta by a parity
-offset sigma0.  Expectation values of strings of fermionic matrix units
-pick up Koszul sign factors, and the module provides an independent
-Jordan-Wigner density-matrix oracle against which those signs are checked.
+offset sigma0.  Validation reads one spectrum of the dual transfer map: its
+simple eigenvalue 1 gives D (a supplied D must equal it within TOL), and
+purity asks that no other eigenvalue lie on the unit circle.  Under an
+on-site symmetry each group element g gets one covariance phase c_g and,
+for the odd kind, one parity sign q(g).  Expectation values of strings of
+fermionic matrix units pick up Koszul sign factors, and the module provides
+an independent Jordan-Wigner density-matrix oracle against which those
+signs are checked.
 """
 
 from __future__ import annotations
@@ -19,13 +24,14 @@ from .cocycle import det_gauge_class
 from .errors import (
     DegenerateFixedPoint,
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidMPS,
     NoConsistentQ,
     NotPositive,
     SizeTooLarge,
     SymmetryViolated,
 )
-from .group import FiniteGroup, Z2Hom, all_z2_homs, validate_hom_z2
+from .group import FiniteGroup, Z2Hom, validate_hom_z2
 from .invariant import SPTIndex
 from .linalg import TOL, sign_match
 from .rep import ProjectiveRep, adjoint_action
@@ -115,29 +121,22 @@ def _validate_common(d, v, D):
             "normalization sum_mu v_mu v_mu^dag = 1 fails; if the defect is a "
             f"uniform scale, rescale every v_mu by 1/sqrt({scale:.6g})"
         )
+    # one spectrum: its simple eigenvalue 1 (checked by the solve) gives the
+    # fixed point, against which a supplied D is checked and then kept as given
+    fixed, evals = _fixed_point_and_spectrum(v)
     if D is None:
-        D, evals = _fixed_point_and_spectrum(v)
+        D = fixed
     else:
         D = np.asarray(D, dtype=complex)
         if D.shape != (m, m):
             raise DimensionMismatch(f"D must be {m} x {m}")
-        if abs(np.trace(D) - 1.0) > TOL:
-            raise InvalidMPS("D must have unit trace")
-        w = np.linalg.eigvalsh((D + D.conj().T) / 2.0)
-        if w.min() < -1e-10:
-            raise NotPositive("D is not positive semidefinite")
-        resid = sum(a.conj().T @ D @ a for a in v) - D
-        if np.linalg.norm(resid) > TOL:
-            raise InvalidMPS("D is not a fixed point of the dual transfer map")
-        evals = np.linalg.eigvals(transfer_matrix(v))
+        if np.linalg.norm(D - fixed) > TOL:
+            raise InvalidMPS("D is not the trace-one fixed point of the dual transfer map")
     w = np.linalg.eigvalsh((D + D.conj().T) / 2.0)
     if w.min() <= 1e-12 * w.max():
         raise NotPositive("D is not faithful")
-    # purity: the peripheral spectrum of the transfer map must be {1}, simple;
-    # both cuts are invariant under conjugation, so the dual spectrum serves
-    at_one = np.abs(evals - 1.0) < 1e-8
-    peripheral = np.abs(evals) > 1.0 - 1e-8
-    if int(at_one.sum()) != 1 or int(peripheral.sum()) != 1:
+    # purity: 1 is also the only eigenvalue on the unit circle
+    if int((np.abs(evals) > 1.0 - 1e-8).sum()) != 1:
         raise DegenerateFixedPoint(
             "transfer map is not primitive (peripheral spectrum is not {1})"
         )
@@ -219,6 +218,10 @@ def expectation(mps: FermionicMPS, word: SiteWord) -> complex:
     odd-kind words of odd total parity vanish identically.
     """
     word = list(word)
+    nloc = mps.nloc
+    for mu, nu in word:
+        if not (0 <= mu < nloc and 0 <= nu < nloc):
+            raise IndexOutOfRange(f"site word occupation ({mu}, {nu}) outside 0..{nloc - 1}")
     if mps.kind == "odd":
         total = sum(subset_parity(mu) + subset_parity(nu) for mu, nu in word)
         if total % 2:
@@ -282,7 +285,6 @@ class OnSiteSymmetry:
 
     rep_site: ProjectiveRep   # d x d one-particle (anti-)unitaries
     rep_bond: ProjectiveRep   # m x m bond (anti-)unitaries
-    q: Z2Hom | None = None    # odd kind only; searched when absent
 
     @property
     def group(self) -> FiniteGroup:
@@ -299,7 +301,7 @@ class SymmetryPhases:
 
     c: np.ndarray            # complex, per group element
     residuals: np.ndarray    # per group element
-    q: Z2Hom | None          # odd kind: the parity character that fit
+    q: Z2Hom | None          # odd kind: the parity sign of each fit
 
 
 def _covariance_sides(mps, sym, g):
@@ -320,47 +322,38 @@ def _fit_phase(lhs, rhs):
 def check_symmetry(mps: FermionicMPS, sym: OnSiteSymmetry) -> SymmetryPhases:
     """Extract the phases c_g; for the odd kind also the character q.
 
-    Raises SymmetryViolated when no phase fits within tolerance, and
-    NoConsistentQ when the odd-kind sign character cannot be realized.
+    Each g is fitted unsigned first and, for the odd kind, then with the
+    parity sign (-1)^|nu|; q(g) is 1 where only the signed fit holds.
+    Raises SymmetryViolated (even kind) or NoConsistentQ (odd kind) when
+    neither fits within tolerance.
     """
     if sym.rep_site.dim != mps.d or sym.rep_bond.dim != mps.m:
         raise DimensionMismatch("symmetry dimensions do not match the MPS")
-    group = sym.group
-    if mps.kind == "even":
-        candidates = [None]
-    elif sym.q is not None:
-        candidates = [sym.q]
-    else:
-        candidates = all_z2_homs(group)
-    # the sides do not depend on q: lift and conjugate once per g
-    sides = [_covariance_sides(mps, sym, g) for g in group.elements()]
     signs = np.where(mps.site_parities() % 2, -1.0, 1.0)[:, None, None]
-    last_error = None
-    for q in candidates:
-        cs, resids = [], []
-        for g, (lhs, rhs) in zip(group.elements(), sides):
-            c, resid = _fit_phase(lhs * signs if q is not None and q(g) else lhs, rhs)
-            if resid > TOL:
-                last_error = SymmetryViolated(
-                    f"covariance fails at group element {g}: residual {resid:.3e}"
-                )
-                break
-            cs.append(c)
-            resids.append(resid)
-        else:
-            return SymmetryPhases(np.array(cs), np.array(resids), q)
-    if mps.kind == "odd" and sym.q is None:
-        raise NoConsistentQ("no parity character satisfies the covariance relation")
-    raise last_error
+    cs, resids, qs = [], [], []
+    for g in sym.group.elements():
+        lhs, rhs = _covariance_sides(mps, sym, g)
+        (c, resid), sign = _fit_phase(lhs, rhs), 0
+        if mps.kind == "odd" and resid > TOL:
+            (c, resid), sign = _fit_phase(lhs * signs, rhs), 1
+        if resid > TOL:
+            if mps.kind == "odd":
+                raise NoConsistentQ("no parity character satisfies the covariance relation")
+            raise SymmetryViolated(f"covariance fails at group element {g}: residual {resid:.3e}")
+        cs.append(c)
+        resids.append(resid)
+        qs.append(sign)
+    q = validate_hom_z2(sym.group, qs) if mps.kind == "odd" else None
+    return SymmetryPhases(np.array(cs), np.array(resids), q)
 
 
 def fmps_index(mps: FermionicMPS, sym: OnSiteSymmetry) -> SPTIndex:
     """The SPT index carried by a symmetric fermionic MPS.
 
     kappa is the kind; q comes from the action on the bond grading (even)
-    or from the validated sign character (odd); the class is that of the
-    bond representation, exact, with a representative that may move with
-    the phases of the W_g (see det_gauge_class).
+    or from the per-element parity signs of check_symmetry (odd); the class
+    is that of the bond representation, exact, with a representative that
+    may move with the phases of the W_g (see det_gauge_class).
     """
     phases = check_symmetry(mps, sym)
     group = sym.group

@@ -4,7 +4,8 @@ Occupation subsets of {1..d} are encoded as bitmasks; the basis order of
 the 2^d-dimensional Fock space is the bitmask as a little-endian integer
 (mode i corresponds to bit i-1).  With normalization constants fixed to 1,
 the second quantization of a one-particle map U has matrix elements given
-by minors of U with rows and columns in increasing mode order.
+by minors of U with rows and columns in increasing mode order; the minors
+of one particle number are evaluated as one batched determinant.
 """
 
 from __future__ import annotations
@@ -19,16 +20,8 @@ def subset_parity(mask: int) -> int:
     return bin(mask).count("1") % 2
 
 
-def subset_size(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def fock_masks(d: int) -> range:
     return range(1 << d)
-
-
-def mask_modes(mask: int, d: int) -> list[int]:
-    return [i for i in range(d) if (mask >> i) & 1]
 
 
 def parity_operator(d: int) -> np.ndarray:
@@ -40,7 +33,8 @@ def parity_operator(d: int) -> np.ndarray:
 def second_quantize(u: np.ndarray, flag: int = 0) -> Pair:
     """Lift a d x d (anti-)unitary to the 2^d-dimensional Fock space.
 
-    Entry (mu, nu) is det(u[mu, nu]) when #mu = #nu and zero otherwise.
+    Entry (mu, nu) is det(u[mu, nu]) when #mu = #nu and zero otherwise; the
+    minors of each particle number k come from one batched determinant.
     The flag passes through: for flag 1, the returned pair means the minor
     matrix composed with entrywise conjugation in the Fock basis.
     """
@@ -50,20 +44,14 @@ def second_quantize(u: np.ndarray, flag: int = 0) -> Pair:
         raise NotUnitary(f"expected a square matrix, got {u.shape}")
     if np.linalg.norm(u @ u.conj().T - np.eye(d)) > 1e-9 * max(1, d):
         raise NotUnitary("one-particle map is not unitary within tolerance")
-    dim = 1 << d
-    out = np.zeros((dim, dim), dtype=complex)
-    by_size: dict[int, list[int]] = {}
-    for m in fock_masks(d):
-        by_size.setdefault(subset_size(m), []).append(m)
-    for size, masks in by_size.items():
-        for mu in masks:
-            rows = mask_modes(mu, d)
-            for nu in masks:
-                cols = mask_modes(nu, d)
-                if size == 0:
-                    out[mu, nu] = 1.0
-                else:
-                    out[mu, nu] = np.linalg.det(u[np.ix_(rows, cols)])
+    bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1  # bits[mask, mode]
+    out = np.zeros((1 << d, 1 << d), dtype=complex)
+    for k in range(d + 1):
+        masks = np.flatnonzero(bits.sum(axis=1) == k)
+        modes = np.nonzero(bits[masks])[1].reshape(len(masks), k)  # increasing per mask
+        # minors[a, b] = u[modes[a]][:, modes[b]]; the 0 x 0 minor has determinant 1
+        minors = u[modes[:, None, :, None], modes[None, :, None, :]]
+        out[np.ix_(masks, masks)] = np.linalg.det(minors)
     return out, int(flag) % 2
 
 

@@ -23,21 +23,6 @@ def pair(matrix, flag: int = 0) -> Pair:
     return np.asarray(matrix, dtype=complex), int(flag) % 2
 
 
-def compose(a: Pair, b: Pair) -> Pair:
-    """(Ma K^fa)(Mb K^fb) = Ma conj^fa(Mb) K^(fa+fb)."""
-    ma, fa = a
-    mb, fb = b
-    mb = np.conj(mb) if fa else mb
-    return ma @ mb, (fa + fb) % 2
-
-
-def adjoint(a: Pair) -> Pair:
-    """Inverse of a unitary/anti-unitary pair: (Ma K^f)^-1 = K^f Ma^dag."""
-    ma, fa = a
-    inv = ma.conj().T
-    return (np.conj(inv) if fa else inv), fa
-
-
 def adjoint_action(a: Pair, x: np.ndarray) -> np.ndarray:
     """V x V^-1 for unitary/anti-unitary V; equals M conj^f(x) M^dag."""
     ma, fa = a

@@ -19,6 +19,14 @@ from .rep import ProjectiveRep, pair
 from .system import GradedSystem, r0_system, r1_system, system_from_generators
 
 
+def int_field(value, name: str, error=InvalidSystem, least: int | None = None) -> int:
+    """A JSON integer (not a boolean), at least `least`; else `error` naming the field."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def round_sig(x: float, digits: int = 12) -> float:
     return float(f"{x:.{digits}g}")
 
@@ -48,7 +56,7 @@ def phase_to_json(p: Phase) -> dict:
 
 def phase_from_json(data) -> Phase:
     if "k" in data:
-        return Phase.exact(int(data["k"]), int(data["N"]))
+        return Phase.exact(int_field(data["k"], "k"), int_field(data["N"], "N", least=1))
     return Phase.from_complex(complex(data["re"], data["im"]))
 
 
@@ -96,7 +104,7 @@ def rep_from_json(group: FiniteGroup, twist: Z2Hom, data) -> ProjectiveRep:
     ops = []
     for g, entry in enumerate(data):
         m = matrix_from_json(entry["matrix"])
-        flag = int(entry.get("flag", twist(g)))
+        flag = int_field(entry.get("flag", twist(g)), "flag")
         ops.append(pair(m, flag))
     return ProjectiveRep(group, twist, tuple(ops))
 
@@ -124,9 +132,7 @@ def system_from_json(data) -> GradedSystem:
     action = rep_from_json(group, twist, data["action"])
     form = data.get("form", "generators")
     if form in ("R0", "R1"):
-        k_dim = data["K_dim"]
-        if not isinstance(k_dim, int):
-            raise InvalidSystem(f"K_dim must be an integer, got {k_dim!r}")
+        k_dim = int_field(data["K_dim"], "K_dim")
         return (r0_system if form == "R0" else r1_system)(action, k_dim)
     if form == "generators":
         gamma = matrix_from_json(data["gamma"])
@@ -136,7 +142,7 @@ def system_from_json(data) -> GradedSystem:
             if "degree" in entry:
                 from .algebra import operator_degree
 
-                if operator_degree(m, gamma) != int(entry["degree"]):
+                if operator_degree(m, gamma) != int_field(entry["degree"], "degree"):
                     raise InvalidSystem(
                         "declared generator degree does not match the grading"
                     )
@@ -160,7 +166,7 @@ def index_to_json(index: SPTIndex) -> dict:
 def index_from_json(data) -> SPTIndex:
     cls = cocycle_from_json(data["cocycle"])
     q = validate_hom_z2(cls.group, data["q"])
-    return SPTIndex(int(data["kappa"]), q, cls)
+    return SPTIndex(int_field(data["kappa"], "kappa"), q, cls)
 
 
 def mps_to_json(mps: FermionicMPS) -> dict:
@@ -180,7 +186,7 @@ def mps_to_json(mps: FermionicMPS) -> dict:
 
 
 def mps_from_json(data) -> FermionicMPS:
-    d = int(data["d"])
+    d = int_field(data["d"], "d", InvalidMPS, least=0)
     nloc = 1 << d
     try:
         v = np.stack([matrix_from_json(data["v"][str(mask)]) for mask in range(nloc)])
@@ -192,26 +198,23 @@ def mps_from_json(data) -> FermionicMPS:
     if data["kind"] == "even":
         return even_mps(d, v, matrix_from_json(data["Theta"]), dmat)
     if data["kind"] == "odd":
-        return odd_mps(d, v, int(data.get("sigma0", 0)), dmat)
+        return odd_mps(d, v, int_field(data.get("sigma0", 0), "sigma0", InvalidMPS), dmat)
     raise InvalidMPS(f"unknown MPS kind {data['kind']!r}")
 
 
 def symmetry_to_json(sym: OnSiteSymmetry) -> dict:
-    out = {
+    return {
         "group": group_to_json(sym.group),
         "p": hom_to_json(sym.twist),
         "U": rep_to_json(sym.rep_site),
         "W": rep_to_json(sym.rep_bond),
     }
-    if sym.q is not None:
-        out["q"] = hom_to_json(sym.q)
-    return out
 
 
 def symmetry_from_json(data) -> OnSiteSymmetry:
+    if "q" in data:
+        raise InvalidSystem('a symmetry has no "q" key: q is read off the state')
     group = group_from_json(data["group"])
     twist = hom_from_json(group, data["p"])
     rep_site = rep_from_json(group, twist, data["U"])
-    rep_bond = rep_from_json(group, twist, data["W"])
-    q = hom_from_json(group, data["q"]) if "q" in data else None
-    return OnSiteSymmetry(rep_site, rep_bond, q)
+    return OnSiteSymmetry(rep_site, rep_from_json(group, twist, data["W"]))

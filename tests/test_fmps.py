@@ -6,6 +6,7 @@ import pytest
 from fspt import (
     OnSiteSymmetry,
     ProjectiveRep,
+    all_z2_homs,
     check_symmetry,
     cohomologous,
     cyclic,
@@ -110,6 +111,19 @@ def test_degenerate_blocks_rejected():
         transfer_fixed_point(v)
     with pytest.raises(DegenerateFixedPoint):
         even_mps(1, v, theta=I2)
+
+
+def test_supplied_D_must_be_the_fixed_point():
+    mps = even_mps_d1()
+    off = mps.D + 1e-6 * SZ  # trace one and positive, but not the fixed point
+    non_psd = np.diag([1.5, -0.5]).astype(complex)
+    for D in (off, non_psd):
+        with pytest.raises(InvalidMPS, match="fixed point"):
+            even_mps(1, mps.v, theta=SZ, D=D)
+    with pytest.raises(InvalidMPS, match="fixed point"):
+        odd_mps(1, majorana_mps(1).v, sigma0=1, D=np.array([[1.0 + 1e-6]]))
+    close = mps.D + 1e-12 * SZ  # within TOL of the fixed point: kept as given
+    assert np.array_equal(even_mps(1, mps.v, theta=SZ, D=close).D, close)
 
 
 # -- transfer map --
@@ -346,6 +360,38 @@ def test_check_symmetry_forces_q_on_majorana():
     phases = check_symmetry(mps, majorana_symmetry())
     assert phases.q is not None
     assert list(phases.q.values) == [0, 1]
+
+
+def exhaustive_q(mps, sym):
+    """Reference: the first character q, in all_z2_homs order, whose
+    parity-signed covariance relation fits at every group element."""
+    parity = np.array([(-1.0) ** bin(mu).count("1") for mu in range(mps.nloc)])
+    for q in all_z2_homs(sym.group):
+        fits = True
+        for g in sym.group.elements():
+            f, _ = second_quantize(sym.rep_site.op(g)[0])
+            lhs = np.einsum("mn,mij->nij", f, mps.v) * (parity ** q(g))[:, None, None]
+            rhs = np.stack([sym.rep_bond.act(g, a) for a in mps.v])
+            c = np.vdot(rhs, lhs) / np.vdot(rhs, rhs)
+            fits = fits and np.linalg.norm(lhs - c * rhs) <= 1e-8 * max(1.0, np.linalg.norm(lhs))
+        if fits:
+            return q
+    return None
+
+
+def test_check_symmetry_reads_q_per_element_majorana_v4():
+    """Majorana chain under V4, one Z2 factor acting as fermion parity: q is
+    read per element and equals the exhaustive search over all characters."""
+    v4 = klein()
+    p = trivial_hom(v4)
+    site = ProjectiveRep.build(v4, p, [np.eye(1), -np.eye(1), np.eye(1), -np.eye(1)])
+    sym = OnSiteSymmetry(site, ProjectiveRep.build(v4, p, [np.eye(1)] * 4))
+    for sigma0 in (0, 1):
+        mps = majorana_mps(sigma0)
+        q = check_symmetry(mps, sym).q
+        assert not q.is_trivial and q.same_as(exhaustive_q(mps, sym))
+        assert list(q.values) == [0, 1, 0, 1]
+        assert fmps_index(mps, sym).q.same_as(q)
 
 
 def test_check_symmetry_no_consistent_q():

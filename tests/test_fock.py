@@ -54,6 +54,27 @@ def test_second_quantize_antiunitary_flag_composition(rng):
     assert np.linalg.norm(f1 @ np.conj(f2) - f12) < 1e-9
 
 
+def minor_loop(u):
+    """Reference lift: one determinant per pair of equal-size occupation masks."""
+    d = u.shape[0]
+    modes = [[i for i in range(d) if (mask >> i) & 1] for mask in range(1 << d)]
+    out = np.zeros((1 << d, 1 << d), dtype=complex)
+    for mu, rows in enumerate(modes):
+        for nu, cols in enumerate(modes):
+            if len(rows) == len(cols):
+                out[mu, nu] = np.linalg.det(u[np.ix_(rows, cols)]) if rows else 1.0
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_second_quantize_matches_per_minor_loop(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(3):
+        u = random_unitary(d, rng)
+        f, _ = second_quantize(u)
+        assert np.abs(f - minor_loop(u)).max() <= 1e-12
+
+
 def test_second_quantize_rejects_nonunitary():
     with pytest.raises(NotUnitary):
         second_quantize(np.diag([1.0, 2.0]))

@@ -174,6 +174,44 @@ def _v_shapes_differ(data):
     data["v"]["1"] = serialize.matrix_to_json(np.eye(3))
 
 
+def _d_not_an_integer(data):
+    data["d"] = "two"
+
+
+def _odd_sigma0_not_an_integer(data):
+    data.update(serialize.mps_to_json(majorana_mps(1)), sigma0="one")
+
+
+def _flag_not_an_integer(data):
+    data["U"][1]["flag"] = "yes"
+
+
+def _q_key(data):
+    data["q"] = {"values": [0, 1]}
+
+
+def _phase_k_not_an_integer(data):
+    data["phases"][1][1] = {"k": "x", "N": 2}
+
+
+def _phase_root_order_zero(data):
+    data["phases"][1][1] = {"k": 1, "N": 0}
+
+
+# command -> builders of its input files; the mutation edits the last one
+_INPUTS = {
+    "index": [_generators_form],
+    "stack": [_generators_form],  # passed as both --in and --in2
+    "fmps-validate": [lambda: serialize.mps_to_json(even_mps_d2())],
+    "fmps-symmetry": [
+        lambda: serialize.mps_to_json(majorana_mps(1)),
+        lambda: serialize.symmetry_to_json(majorana_symmetry()),
+    ],
+    "cocycle-check": [lambda: serialize.cocycle_to_json(trivial_cocycle(cyclic(2)))],
+    "fmps-expect": [lambda: serialize.mps_to_json(majorana_mps(1))],
+}
+
+
 @pytest.mark.parametrize(
     "command, mutate, token",
     [
@@ -186,18 +224,43 @@ def _v_shapes_differ(data):
         ("index", _non_integer_k_dim, "InvalidSystem"),
         ("fmps-validate", _ragged_v, "InvalidSystem"),
         ("fmps-validate", _v_shapes_differ, "DimensionMismatch"),
+        ("fmps-validate", _d_not_an_integer, "InvalidMPS"),
+        ("fmps-validate", _odd_sigma0_not_an_integer, "InvalidMPS"),
+        ("fmps-symmetry", _flag_not_an_integer, "InvalidSystem"),
+        ("fmps-symmetry", _q_key, "InvalidSystem"),
+        ("cocycle-check", _phase_k_not_an_integer, "InvalidSystem"),
+        ("cocycle-check", _phase_root_order_zero, "InvalidSystem"),
+        # for fmps-expect the "mutation" is the --word; None means a usage error
+        ("fmps-expect", '[["a",0]]', None),
+        ("fmps-expect", "[[1]]", None),
+        ("fmps-expect", "[[1,0,2]]", None),
+        ("fmps-expect", "[[1,0]", None),
+        ("fmps-expect", "[[99,0]]", "IndexOutOfRange"),
+        ("fmps-expect", "[[-1,0]]", "IndexOutOfRange"),
     ],
 )
 def test_malformed_input_gives_an_error_token(command, mutate, token, tmp_path, capsys):
-    """Malformed matrices, generator lists, K_dim and MPS bond matrices exit 1
-    with a JSON error token, not a Python traceback."""
-    is_mps = command == "fmps-validate"
-    data = serialize.mps_to_json(even_mps_d2()) if is_mps else _generators_form()
-    mutate(data)
-    path = write(tmp_path, "bad.json", data)
-    argv = [command, "--in", path] + (["--in2", path] if command == "stack" else [])
-    assert run(argv) == 1
-    assert json.loads(capture(capsys))["error"] == token
+    """Malformed matrices, generator lists, integer fields and MPS bond matrices
+    exit 1 with a JSON error token, and a malformed --word exits 2, never with a
+    Python traceback."""
+    files = [build() for build in _INPUTS[command]]
+    extra = ["--word", mutate] if command == "fmps-expect" else []
+    if not extra:
+        mutate(files[-1])
+    paths = [write(tmp_path, f"in{i}.json", data) for i, data in enumerate(files)]
+    argv = [command, "--in", paths[0]] + extra
+    if command in ("stack", "fmps-symmetry"):
+        argv += ["--in2", paths[-1]]
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects the flag value
+        code = exc.code
+    captured = capsys.readouterr()
+    if token is None:
+        assert code == 2 and "--word" in captured.err
+    else:
+        assert code == 1
+        assert json.loads(captured.out)["error"] == token
 
 
 def test_cohomologous_cli_with_caveat(tmp_path, capsys):
