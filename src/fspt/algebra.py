@@ -134,10 +134,12 @@ def graded_tensor_algebra(a1, gamma1, a2, gamma2) -> OperatorAlgebra:
     """
     swaps = gamma2 @ a2.generators @ gamma2
     floor = 1e-10 * np.maximum(1.0, np.linalg.norm(a2.generators, axis=(1, 2)))  # zero parts
-    gens = [np.kron(a, np.eye(a2.ambient)) for a in a1.generators]
-    for factor, parity in ((np.eye(a1.ambient), 1.0), (gamma1, -1.0)):
-        parts = (a2.generators + parity * swaps) / 2.0
-        gens += [np.kron(factor, b) for b, f in zip(parts, floor) if np.linalg.norm(b) > f]
+    parts = np.stack([a2.generators + swaps, a2.generators - swaps]) / 2.0  # even, odd
+    keep = np.linalg.norm(parts, axis=(-2, -1)) > floor
+    factors = np.stack([np.eye(a1.ambient, dtype=complex), gamma1])[:, None]
+    gens = np.concatenate(
+        [linalg.kron(a1.generators, np.eye(a2.ambient)), linalg.kron(factors, parts)[keep]]
+    )
     rng = np.random.default_rng(0x5EED)
     units, basis2 = a1.basis, a2.basis
     left = np.concatenate([units, units @ gamma1])
@@ -150,7 +152,7 @@ def graded_tensor_algebra(a1, gamma1, a2, gamma2) -> OperatorAlgebra:
         right = (y + sign * (gamma2 @ y @ gamma2)) / 2.0
         return np.tensordot(left, right, (0, 0)).transpose(0, 2, 1, 3).reshape(n, n)
 
-    return block_decomposition(np.stack(gens), a1.dim * a2.dim, draw)
+    return block_decomposition(gens, a1.dim * a2.dim, draw)
 
 
 def commutant(algebra: OperatorAlgebra) -> OperatorAlgebra:
@@ -261,8 +263,9 @@ def grading_permutation(blocks: list[np.ndarray], gamma: np.ndarray) -> np.ndarr
     return perm
 
 
-def implementer(v: np.ndarray, op: np.ndarray, flag: int = 0) -> tuple[np.ndarray, float]:
-    """Unitary W in M_N implementing x -> op x^(flag) op^dag on one block.
+def implementers(v: np.ndarray, mats: np.ndarray, flags) -> tuple[np.ndarray, np.ndarray]:
+    """Unitaries W_g in M_N implementing x -> op_g x^(flag_g) op_g^dag on one
+    block, for every op_g of a stack of shape (G, n, n), with residuals (G,).
 
     With phi(x)_ij = Tr(E_ij^dag x)/r the block isomorphism, W satisfies
     phi(op E_ij^(flag) op^dag) = W e_ij W^dag.  Skolem-Noether in closed
@@ -270,15 +273,17 @@ def implementer(v: np.ndarray, op: np.ndarray, flag: int = 0) -> tuple[np.ndarra
     maximizes its norm.  In the block basis op reads W (x) M; the residual
     of that factorization is returned beside W.
     """
-    N, _, r = v.shape
-    moved = op @ (np.conj(v) if flag else v)
-    h = np.einsum("anx,iny->axiy", v.conj(), moved)  # h[a,:,i,:] = V_a^dag op V_i
-    weight = np.einsum("axiy->ai", np.abs(h) ** 2)
-    l, k = np.unravel_index(np.argmax(weight), weight.shape)
-    w = np.einsum("axby,xy->ab", h, h[l, :, k, :].conj()) / r
-    w = w / np.sqrt(np.trace(w.conj().T @ w).real / N)
-    mult = np.einsum("ab,axby->xy", w.conj(), h) / N
-    return w, float(np.linalg.norm(h - np.einsum("ab,xy->axby", w, mult)))
+    (N, _, r), G = v.shape, len(mats)
+    flip = (np.asarray(flags) == 1)[:, None, None, None]
+    moved = mats[:, None] @ np.where(flip, np.conj(v), v)
+    h = np.einsum("anx,giny->gaxiy", v.conj(), moved)  # h[g,a,:,i,:] = V_a^dag op_g V_i
+    weight = np.einsum("gaxiy->gai", np.abs(h) ** 2).reshape(G, -1)
+    l, k = np.divmod(np.argmax(weight, axis=1), N)
+    w = np.einsum("gaxby,gxy->gab", h, h[np.arange(G), l, :, k, :].conj()) / r
+    norm2 = np.trace(w.conj().swapaxes(-1, -2) @ w, axis1=-2, axis2=-1).real
+    w = w / np.sqrt(norm2 / N)[:, None, None]
+    mult = np.einsum("gab,gaxby->gxy", w.conj(), h) / N
+    return w, np.linalg.norm((h - np.einsum("gab,gxy->gaxby", w, mult)).reshape(G, -1), axis=-1)
 
 
 def graded_conjugate(algebra: OperatorAlgebra, gamma: np.ndarray) -> np.ndarray:
@@ -345,12 +350,12 @@ def require_one_orbit(perm: np.ndarray) -> None:
 def grading_unitary(v: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Self-adjoint unitary u in M_N implementing Ad_Gamma on a block it fixes.
 
-    implementer(v, gamma) is unitary and squares to a phase when Ad_Gamma is
-    an involution of the block; dividing by a square root of that phase
-    gives u.  MarkerNotFound when the result is not a s.a. unitary.
+    The implementer w of Ad_Gamma is unitary and squares to a phase when
+    Ad_Gamma is an involution of the block; dividing by a square root of
+    that phase gives u.  MarkerNotFound when the result is not a s.a. unitary.
     """
     N = v.shape[0]
-    w, resid = implementer(v, gamma)
+    (w,), (resid,) = implementers(v, gamma[None], [0])
     square = np.trace(w @ w) / N  # a unit phase for a multiple of a s.a. unitary
     u = w / np.sqrt(square) if abs(square) >= 0.5 else None
     if resid > TOL * N or u is None or not linalg.is_selfadjoint_unitary(u, TOL):
@@ -385,7 +390,7 @@ def grading_implementer(algebra: OperatorAlgebra, gamma: np.ndarray) -> np.ndarr
     """
     if len(algebra.blocks) != 1:
         return None
-    w, resid = implementer(algebra.blocks[0], gamma)
+    (w,), (resid,) = implementers(algebra.blocks[0], gamma[None], [0])
     return None if resid > TOL * w.shape[0] else block_element(algebra.blocks[0], w)
 
 

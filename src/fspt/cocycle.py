@@ -26,12 +26,13 @@ from .errors import (
     NotNormalized,
     NotProjectiveRep,
     NotRootOfUnity,
+    NotUnitPhase,
     SizeTooLarge,
 )
 from .group import FiniteGroup, Z2Hom, trivial_hom
 from .linalg import TOL
 from .phase import Phase
-from .rep import ProjectiveRep, pair
+from .rep import ProjectiveRep
 from .smith import Elimination, eliminate
 
 SNAP_TOL = 1e-8  # cohomologous, index_equal, z8_encode: the largest |v - root| snapped
@@ -52,9 +53,15 @@ def _roots(k: np.ndarray, N: int) -> np.ndarray:
 
 def _pack(values, shape: tuple, tol: float) -> tuple[np.ndarray, int]:
     """(int64 exponents, N) of exact phases on their lcm order N, else (complex128, 0)."""
-    raw = np.asarray(values, dtype=object)
+    floating = getattr(values, "dtype", None) == np.complex128  # checked as one array
+    raw = values if floating else np.asarray(values, dtype=object)
     if raw.shape != shape:
         raise NotNormalized(f"expected a {' x '.join(map(str, shape))} table")
+    if floating:
+        size = np.abs(raw)
+        if (off := np.abs(size - 1.0) > tol).any():
+            raise NotUnitPhase(f"|z| = {size[off][0]:.3e} deviates from 1 beyond {tol:.1e}")
+        return raw / size, 0
     phases = [Phase.coerce(x, tol) for x in raw.flat]
     if not all(p.is_exact for p in phases):
         return np.array([p.value for p in phases], dtype=complex).reshape(shape), 0
@@ -289,21 +296,19 @@ def snap_cocycle(u: TwistedCocycle, modulus: int) -> TwistedCocycle:
     )
 
 
-def det_gauge_class(group: FiniteGroup, twist: Z2Hom, ops) -> TwistedCocycle:
-    """The exact cocycle of the projective (anti-)unitaries ops[g] = (V_g, flag).
+def det_gauge_class(group: FiniteGroup, twist: Z2Hom, mats: np.ndarray) -> TwistedCocycle:
+    """The exact cocycle of the projective (anti-)unitaries V_g = mats[g] K^p(g).
 
-    Rescaling each V_g to det V_g = 1 leaves the class alone and makes every
-    v(g,h)^N = 1, N = dim, so the values snap exactly onto the N-th roots.
+    One batched det rescales every V_g to det V_g = 1: the class stays, and
+    every v(g,h)^N = 1, N = dim, so the values snap exactly onto the N-th roots.
     det^(1/N) fixes V_g only up to an N-th root of unity, so the class does
     not depend on the phases the V_g came with but the representative does:
     compare results with cohomologous, not entry by entry.
     """
-    n = ops[0][0].shape[0]
-    gauged = tuple(
-        pair(np.eye(n) if g == group.identity else m / np.exp(np.log(np.linalg.det(m)) / n), f)
-        for g, (m, f) in enumerate(ops)
-    )
-    return snap_cocycle(cocycle_of_rep(ProjectiveRep(group, twist, gauged)), n)
+    n = mats.shape[-1]
+    gauged = mats / np.exp(np.log(np.linalg.det(mats)) / n)[:, None, None]
+    gauged[group.identity] = np.eye(n)
+    return snap_cocycle(cocycle_of_rep(ProjectiveRep.build(group, twist, gauged)), n)
 
 
 def cocycle_of_rep(rep: ProjectiveRep) -> TwistedCocycle:
@@ -312,8 +317,7 @@ def cocycle_of_rep(rep: ProjectiveRep) -> TwistedCocycle:
     v(g,h) is read off as trace(V_g V_h (V_gh)^-1)/dim; the product must be
     scalar within linalg.TOL or the input is not a projective representation.
     """
-    group, dim = rep.group, rep.dim
-    M = np.stack([m for m, _ in rep.ops])
+    group, dim, M = rep.group, rep.dim, rep.mats
     # V_g V_h V_gh^-1 = M_g conj^p(g)(M_h) M_gh^dag for every (g, h) at once
     flip = (rep.twist.values == 1)[:, None, None, None]
     back = M[:, None] @ np.where(flip, M.conj()[None], M[None])

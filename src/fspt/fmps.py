@@ -364,4 +364,4 @@ def fmps_index(mps: FermionicMPS, sym: OnSiteSymmetry) -> SPTIndex:
     else:
         q = phases.q
         kappa = 1
-    return SPTIndex(kappa, q, det_gauge_class(group, sym.twist, sym.rep_bond.ops))
+    return SPTIndex(kappa, q, det_gauge_class(group, sym.twist, sym.rep_bond.mats))

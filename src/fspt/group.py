@@ -47,9 +47,20 @@ class FiniteGroup:
         return hash(self.table.tobytes())
 
 
+def _integers(values, error, what: str) -> np.ndarray:
+    """values as an int array; error(what) if ragged or not of an integer dtype."""
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # ragged nesting: no array at all
+        raw = np.asarray(None)
+    if raw.dtype.kind not in "biu":
+        raise error(f"{what} must be a rectangular array of integers")
+    return raw.astype(int)
+
+
 def validate_group(table) -> FiniteGroup:
     """Check a multiplication table and return the group it defines."""
-    t = np.asarray(table, dtype=int)
+    t = _integers(table, NoIdentity, "table")
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise NoIdentity(f"table must be square, got shape {t.shape}")
     n = t.shape[0]
@@ -106,7 +117,7 @@ class Z2Hom:
 
 
 def validate_hom_z2(group: FiniteGroup, values) -> Z2Hom:
-    v = np.asarray(values, dtype=int)
+    v = _integers(values, NotHomomorphism, "values")
     if v.shape != (group.n,):
         raise NotHomomorphism(f"expected {group.n} values, got shape {v.shape}")
     if not np.isin(v, (0, 1)).all():

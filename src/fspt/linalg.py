@@ -23,6 +23,12 @@ def unvec(rows: np.ndarray, n: int) -> np.ndarray:
     return rows.reshape(rows.shape[:-1] + (n, n))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the last two axes, over broadcast leading axes."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
 def onb_rows(rows: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the row span, via SVD rank truncation.
 

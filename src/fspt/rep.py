@@ -3,18 +3,20 @@
 An operator is stored as a pair ``(matrix, flag)``: the linear part in the
 standard basis, and flag 1 when the operator carries a complex conjugation
 on the right (so the operator is M composed with entrywise conjugation).
-All composition rules below follow from K M = conj(M) K.
+All composition rules below follow from K M = conj(M) K.  A representation
+also stacks its matrices into one (|G|, n, n) array and answers each
+per-element question (unitarity, action, sign character) in one batched call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GradingActionIndeterminate, InvalidSystem, NotUnitary
 from .group import FiniteGroup, Z2Hom
-from .linalg import sign_match
+from .linalg import TOL
 
 Pair = tuple[np.ndarray, int]
 
@@ -29,39 +31,31 @@ def adjoint_action(a: Pair, x: np.ndarray) -> np.ndarray:
     return ma @ (np.conj(x) if fa else x) @ ma.conj().T
 
 
-def conjugate_pair(t: np.ndarray, a: Pair) -> Pair:
-    """T (M K^f) T^dag for a unitary T; matrix becomes T M T^t when f = 1."""
-    ma, fa = a
-    right = t.T if fa else t.conj().T
-    return t @ ma @ right, fa
-
-
 @dataclass(frozen=True, eq=False)
 class ProjectiveRep:
-    """g -> (matrix, flag) with flag pattern given by the twist p: G -> Z2."""
+    """g -> (matrix, flag), flags given by the twist p: G -> Z2; ``mats`` stacks them."""
 
     group: FiniteGroup
     twist: Z2Hom
     ops: tuple[Pair, ...]
+    mats: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.ops) != self.group.n:
-            raise InvalidSystem(
-                f"need {self.group.n} operators, got {len(self.ops)}"
-            )
+            raise InvalidSystem(f"need {self.group.n} operators, got {len(self.ops)}")
         dim = self.ops[0][0].shape[0]
         for g, (m, f) in enumerate(self.ops):
             if m.shape != (dim, dim):
                 raise InvalidSystem(f"operator {g} has shape {m.shape}")
             if f != self.twist(g):
-                raise InvalidSystem(
-                    f"flag of operator {g} is {f}, twist demands {self.twist(g)}"
-                )
-            if np.linalg.norm(m @ m.conj().T - np.eye(dim)) > 1e-9 * dim:
-                raise NotUnitary(f"operator {g} is not unitary within 1e-9")
-        e = self.group.identity
-        if np.linalg.norm(self.ops[e][0] - np.eye(dim)) > 1e-8 * dim:
+                raise InvalidSystem(f"flag of operator {g} is {f}, twist demands {self.twist(g)}")
+        mats = np.stack([np.asarray(m, dtype=complex) for m, _ in self.ops])
+        gram = mats @ mats.conj().swapaxes(-1, -2) - np.eye(dim)
+        if (bad := np.linalg.norm(gram, axis=(-2, -1)) > 1e-9 * dim).any():
+            raise NotUnitary(f"operator {int(np.argmax(bad))} is not unitary within 1e-9")
+        if np.linalg.norm(mats[self.group.identity] - np.eye(dim)) > 1e-8 * dim:
             raise InvalidSystem("operator at the identity must be the identity")
+        object.__setattr__(self, "mats", mats)
 
     @staticmethod
     def build(group: FiniteGroup, twist: Z2Hom, matrices) -> "ProjectiveRep":
@@ -70,7 +64,7 @@ class ProjectiveRep:
 
     @property
     def dim(self) -> int:
-        return self.ops[0][0].shape[0]
+        return self.mats.shape[-1]
 
     def op(self, g: int) -> Pair:
         return self.ops[g]
@@ -78,26 +72,32 @@ class ProjectiveRep:
     def act(self, g: int, x: np.ndarray) -> np.ndarray:
         return adjoint_action(self.ops[g], x)
 
+    def act_all(self, x: np.ndarray) -> np.ndarray:
+        """V_g conj^p(g)(x) V_g^dag for every g: shape (|G|,) + x.shape, x may have leading axes."""
+        x = np.asarray(x, dtype=complex)
+        m = np.expand_dims(self.mats, tuple(range(1, x.ndim - 1)))
+        flip = (self.twist.values == 1).reshape((-1,) + (1,) * x.ndim)
+        return m @ np.where(flip, np.conj(x), x) @ m.conj().swapaxes(-1, -2)
+
     def sign_character(self, x: np.ndarray, error: str) -> list[int]:
-        """s(g) in {0, 1} with V_g x V_g^-1 = (-1)^s(g) x for every g.
+        """s(g) in {0, 1} with V_g x V_g^-1 = (-1)^s(g) x for every g (sign_match's cut).
 
         GradingActionIndeterminate(error with {g} filled in) at the first g
         that sends x to neither +/- x."""
-        signs = []
-        for g in self.group.elements():
-            s = sign_match(self.act(g, x), x)
-            if s is None:
-                raise GradingActionIndeterminate(error.format(g=g))
-            signs.append(s)
-        return signs
+        moved = self.act_all(x)
+        cut = TOL * max(1.0, float(np.linalg.norm(x)))
+        plus = np.linalg.norm(moved - x, axis=(-2, -1)) <= cut
+        minus = np.linalg.norm(moved + x, axis=(-2, -1)) <= cut
+        if not (plus | minus).all():
+            raise GradingActionIndeterminate(error.format(g=int(np.argmin(plus | minus))))
+        return (~plus).astype(int).tolist()
 
     def rescaled(self, phases) -> "ProjectiveRep":
         """Gauge change g -> lambda(g) V_g; phases[identity] must be 1."""
-        ops = tuple(
-            (complex(lam) * m, f) for lam, (m, f) in zip(phases, self.ops)
-        )
-        return ProjectiveRep(self.group, self.twist, ops)
+        lam = np.asarray(phases, dtype=complex)[:, None, None]
+        return ProjectiveRep.build(self.group, self.twist, lam * self.mats)
 
     def conjugated(self, t: np.ndarray) -> "ProjectiveRep":
-        ops = tuple(conjugate_pair(t, o) for o in self.ops)
-        return ProjectiveRep(self.group, self.twist, ops)
+        """T V_g T^dag; the matrix becomes T M T^t where V_g is anti-unitary."""
+        right = np.where((self.twist.values == 1)[:, None, None], t.T, t.conj().T)
+        return ProjectiveRep.build(self.group, self.twist, t @ self.mats @ right)

@@ -27,6 +27,13 @@ def int_field(value, name: str, error=InvalidSystem, least: int | None = None) -
     return value
 
 
+def int_list(data, name: str, rows: bool = False) -> list:
+    """A JSON list of integers, or of such lists with rows=True; else InvalidSystem."""
+    if not isinstance(data, list) or rows and not all(isinstance(row, list) for row in data):
+        raise InvalidSystem(f"{name} must be a list of {'lists of ' * rows}integers")
+    return [int_list(x, name) if rows else int_field(x, f"{name} entry") for x in data]
+
+
 def round_sig(x: float, digits: int = 12) -> float:
     return float(f"{x:.{digits}g}")
 
@@ -55,9 +62,11 @@ def phase_to_json(p: Phase) -> dict:
 
 
 def phase_from_json(data) -> Phase:
-    if "k" in data:
+    if isinstance(data, dict) and "k" in data:
         return Phase.exact(int_field(data["k"], "k"), int_field(data["N"], "N", least=1))
-    return Phase.from_complex(complex(data["re"], data["im"]))
+    if isinstance(data, dict) and all(type(data.get(x)) in (int, float) for x in ("re", "im")):
+        return Phase.from_complex(complex(data["re"], data["im"]))
+    raise InvalidSystem(f"a phase must be {{k, N}} integers or {{re, im}} numbers, got {data!r}")
 
 
 def group_to_json(g: FiniteGroup) -> dict:
@@ -65,7 +74,7 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(data) -> FiniteGroup:
-    return validate_group(data["table"])
+    return validate_group(int_list(data["table"], "group table", rows=True))
 
 
 def hom_to_json(h: Z2Hom) -> dict:
@@ -73,7 +82,7 @@ def hom_to_json(h: Z2Hom) -> dict:
 
 
 def hom_from_json(group: FiniteGroup, data) -> Z2Hom:
-    return validate_hom_z2(group, data["values"])
+    return validate_hom_z2(group, int_list(data["values"], "homomorphism values"))
 
 
 def cocycle_to_json(u: TwistedCocycle) -> dict:

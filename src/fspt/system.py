@@ -30,7 +30,7 @@ from .algebra import (
     graded_tensor_algebra,
     grading_permutation,
     grading_unitary,
-    implementer,
+    implementers,
     require_one_orbit,
 )
 from .cocycle import det_gauge_class
@@ -44,7 +44,7 @@ from .errors import (
 from .group import FiniteGroup, Z2Hom, validate_hom_z2
 from .invariant import SPTIndex
 from .linalg import TOL, vec
-from .rep import ProjectiveRep, pair
+from .rep import ProjectiveRep
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -79,19 +79,24 @@ class GradedSystem:
     def _validate_action(self):
         """The action must preserve the algebra and commute with the grading.
 
-        Both conditions are multiplicative, so checking generators suffices.
+        Both conditions are multiplicative, so checking generators suffices:
+        one act_all, one compression and one drift norm cover every (g, x).
+        For V_g = M K^f the drift Gamma V x V^-1 Gamma - V Gamma x Gamma V^-1
+        is M (Y x' Y^dag - Gamma' x' Gamma') M^dag with Y = M^dag Gamma M and
+        x', Gamma' conjugated when f = 1.  InvalidSystem names the first g.
         """
-        size = lambda m: TOL * np.maximum(1.0, np.linalg.norm(vec(m), axis=-1))
-        for g in self.group.elements():
-            moved = self.action.act(g, self.algebra.generators)
-            swap = self.gamma @ moved @ self.gamma
-            drift = swap - self.action.act(g, self.gamma @ self.algebra.generators @ self.gamma)
-            leaves = self.algebra.outside(moved)
-            mixes = np.linalg.norm(vec(drift), axis=-1) > size(swap)
-            first = np.argmax(leaves | mixes)  # the first failing generator, if any
-            if leaves[first] or mixes[first]:
-                what = "preserve the algebra" if leaves[first] else "commute with the grading"
-                raise InvalidSystem(f"action of {g} does not {what}")
+        gens, gamma, m = self.algebra.generators, self.gamma, self.action.mats
+        moved = self.action.act_all(gens)
+        leaves = self.algebra.outside(moved.reshape(-1, *gens.shape[1:])).reshape(moved.shape[:2])
+        xs, gs = np.stack([gens, gens.conj()]), np.stack([gamma, gamma.conj()])[:, None]
+        y, f = (m.conj().swapaxes(-1, -2) @ gamma @ m)[:, None], self.twist.values
+        drift = y @ xs[f] @ y.conj().swapaxes(-1, -2) - (gs @ xs @ gs)[f]
+        size = TOL * np.maximum(1.0, np.linalg.norm(vec(moved), axis=-1))
+        mixes = np.linalg.norm(vec(drift), axis=-1) > size
+        g, first = np.unravel_index(np.argmax(leaves | mixes), leaves.shape)
+        if leaves[g, first] or mixes[g, first]:
+            what = "preserve the algebra" if leaves[g, first] else "commute with the grading"
+            raise InvalidSystem(f"action of {g} does not {what}")
 
     def conjugated(self, t: np.ndarray) -> "GradedSystem":
         """Transport the whole system by a unitary t (an equivalence)."""
@@ -174,17 +179,11 @@ def compute_index(sys: GradedSystem) -> SPTIndex:
     v = sys.algebra.blocks[0]
     if kappa:
         v = np.concatenate([v, sys.gamma @ v], axis=-1)
-    N = v.shape[0]
-    ops = []
-    for g in sys.group.elements():
-        op, flag = sys.action.op(g)
-        w, resid = implementer(v, op, flag)
-        if resid > TOL * N:
-            raise MarkerNotFound(
-                f"implementer for {g} fails to reproduce the action ({resid:.2e})"
-            )
-        ops.append((w, flag))
-    return SPTIndex(kappa, q, det_gauge_class(sys.group, sys.twist, ops))
+    w, resid = implementers(v, sys.action.mats, sys.twist.values)
+    if (bad := resid > TOL * v.shape[0]).any():
+        g = int(np.argmax(bad))
+        raise MarkerNotFound(f"implementer for {g} fails to reproduce the action ({resid[g]:.2e})")
+    return SPTIndex(kappa, q, det_gauge_class(sys.group, sys.twist, w))
 
 
 def stack_systems(s1: GradedSystem, s2: GradedSystem) -> GradedSystem:
@@ -202,13 +201,8 @@ def stack_systems(s1: GradedSystem, s2: GradedSystem) -> GradedSystem:
     algebra = graded_tensor_algebra(s1.algebra, s1.gamma, s2.algebra, s2.gamma)
 
     error = "action of {g} sends the grading unitary to neither +/- itself"
-    nu1 = s1.action.sign_character(s1.gamma, error)
-    ops = []
-    for g in s1.group.elements():
-        m2, f = s2.action.op(g)
-        if nu1[g]:
-            g2 = np.conj(s2.gamma) if f else s2.gamma
-            m2 = m2 @ g2
-        ops.append(pair(np.kron(s1.action.op(g)[0], m2), f))
-    action = ProjectiveRep(s1.group, s1.twist, tuple(ops))
+    nu1 = np.array(s1.action.sign_character(s1.gamma, error))[:, None, None]
+    gamma2 = np.where((s1.twist.values == 1)[:, None, None], np.conj(s2.gamma), s2.gamma)
+    m2 = np.where(nu1 == 1, s2.action.mats @ gamma2, s2.action.mats)
+    action = ProjectiveRep.build(s1.group, s1.twist, linalg.kron(s1.action.mats, m2))
     return GradedSystem(algebra, np.kron(s1.gamma, s2.gamma), action)

@@ -33,6 +33,21 @@ def random_unitary(n, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def per_element_implementer(v, op, flag=0):
+    """The one-element Skolem-Noether step that algebra.implementers batches:
+    W in M_N with V_a^dag op V_i^(flag) = W_ai M, and the residual of that
+    factorization."""
+    N, _, r = v.shape
+    moved = op @ (np.conj(v) if flag else v)
+    h = np.einsum("anx,iny->axiy", v.conj(), moved)
+    weight = np.einsum("axiy->ai", np.abs(h) ** 2)
+    l, k = np.unravel_index(np.argmax(weight), weight.shape)
+    w = np.einsum("axby,xy->ab", h, h[l, :, k, :].conj()) / r
+    w = w / np.sqrt(np.trace(w.conj().T @ w).real / N)
+    mult = np.einsum("ab,axby->xy", w.conj(), h) / N
+    return w, float(np.linalg.norm(h - np.einsum("ab,xy->axby", w, mult)))
+
+
 def tr_group():
     z2 = cyclic(2)
     return z2, validate_hom_z2(z2, [0, 1])

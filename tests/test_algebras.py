@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from fspt import (
     OperatorAlgebra,
     algebra_closure,
+    classify,
     commutant,
     find_odd_selfadjoint_unitary,
     full_matrix_algebra,
@@ -13,6 +15,7 @@ from fspt import (
     graded_split,
     graded_tensor,
     operator_degree,
+    stack_systems,
 )
 from fspt.errors import (
     CentralityViolation,
@@ -21,7 +24,8 @@ from fspt.errors import (
     NotGraded,
 )
 from fspt.linalg import in_span, is_selfadjoint_unitary, nullspace_rows, onb_rows, unvec, vec
-from conftest import I2, SX, SZ, random_unitary
+from fspt.algebra import implementers
+from conftest import I2, SX, SZ, per_element_implementer, random_unitary, twisted_klein_grid
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 
@@ -317,3 +321,52 @@ def test_block_decomposition_matrix_units(rng):
         total += np.einsum("iiab->ab", units)
     assert np.allclose(total, np.eye(7), atol=1e-10)
     assert sum(v.shape[0] ** 2 for v in blocks) == reference.shape[0]
+
+
+def _block_automorphism(f, c, inner, outer, flag):
+    """A unitary op with op conj^flag(f) = f inner: the block f (x) the
+    complement c, each sent to itself."""
+    if flag:
+        return f @ inner @ f.T + c @ outer @ c.T
+    return f @ inner @ f.conj().T + c @ outer @ c.conj().T
+
+
+def test_implementers_match_the_per_element_step(rng):
+    """Random blocks with N <= 4 and r <= 3 in one more ambient dimension,
+    unitary and anti-unitary, acted on by block automorphisms W (x) M and by
+    generic unitaries: every W and residual equals the one-element step."""
+    for N, r in itertools.product(range(1, 5), range(1, 4)):
+        n = N * r + 1
+        q = random_unitary(n, rng)
+        f, c = q[:, : N * r], q[:, N * r :]
+        v = np.transpose(f.reshape(n, N, r), (1, 0, 2))
+        flags = np.array([0, 1, 0, 1])
+        mats = [
+            _block_automorphism(
+                f, c, np.kron(random_unitary(N, rng), random_unitary(r, rng)),
+                random_unitary(1, rng), flag,
+            )
+            for flag in flags[:2]
+        ] + [random_unitary(n, rng) for _ in flags[2:]]
+        w, resid = implementers(v, np.stack(mats), flags)
+        assert w.shape == (4, N, N) and resid.shape == (4,)
+        assert (resid[:2] < 1e-10).all()
+        for g, flag in enumerate(flags):
+            w1, resid1 = per_element_implementer(v, mats[g], flag)
+            assert np.abs(w[g] - w1).max() <= 1e-12, (N, r, g)
+            assert abs(resid[g] - resid1) <= 1e-12, (N, r, g)
+
+
+def test_implementers_on_the_kappa_one_factor():
+    """The concatenated factor [V, Gamma V] of a stacked kappa = 1 system
+    (twisted Klein group, so both flags occur)."""
+    grid = twisted_klein_grid()
+    sysm = stack_systems(grid[(1, 1, 1)], grid[(0, 2, 1)])
+    assert classify(sysm)[0] == 1
+    v = sysm.algebra.blocks[0]
+    v = np.concatenate([v, sysm.gamma @ v], axis=-1)
+    w, resid = implementers(v, sysm.action.mats, sysm.twist.values)
+    assert (resid < 1e-8).all()
+    for g in sysm.group.elements():
+        w1, resid1 = per_element_implementer(v, sysm.action.mats[g], sysm.twist(g))
+        assert np.abs(w[g] - w1).max() <= 1e-12 and abs(resid[g] - resid1) <= 1e-12

@@ -11,7 +11,7 @@ from fspt import (
     validate_group,
     validate_hom_z2,
 )
-from fspt.errors import NoInverse, NotAssociative, NotHomomorphism
+from fspt.errors import NoIdentity, NoInverse, NotAssociative, NotHomomorphism
 
 
 def test_z2_table():
@@ -98,3 +98,18 @@ def test_hom_addition():
         for q2 in homs:
             s = q1.plus(q2)
             assert any(s.same_as(h) for h in homs)
+
+
+@pytest.mark.parametrize(
+    "table", [[[0, 1.5], [1, 0]], [["0", "1"], ["1", "0"]], [["a", "1"], ["1", "0"]], [[0, 1], [1]]]
+)
+def test_non_integral_or_ragged_table_is_rejected(table):
+    """Entries are not truncated or parsed from strings: NoIdentity instead."""
+    with pytest.raises(NoIdentity, match="rectangular array of integers"):
+        validate_group(table)
+
+
+@pytest.mark.parametrize("values", [[0.5, 0], ["0", "1"], ["x", 0], [[0], 1]])
+def test_non_integral_hom_values_are_rejected(values):
+    with pytest.raises(NotHomomorphism, match="rectangular array of integers"):
+        validate_hom_z2(cyclic(2), values)

@@ -198,6 +198,39 @@ def _phase_root_order_zero(data):
     data["phases"][1][1] = {"k": 1, "N": 0}
 
 
+def _phase_re_not_a_number(data):
+    data["phases"][1][1] = {"re": "a", "im": 0}
+
+
+def _phases_of_plain_integers(data):
+    data["phases"] = [[1, 1], [1, -1]]
+
+
+# the group and twist readers are shared by cocycles and systems (twist key "p")
+def _table_of_letters(data):
+    data["group"]["table"] = [["a", "1"], ["1", "0"]]
+
+
+def _table_of_numeric_strings(data):
+    data["group"]["table"] = [["0", "1"], ["1", "0"]]
+
+
+def _fractional_table(data):
+    data["group"]["table"] = [[0, 1.5], [1, 0]]
+
+
+def _ragged_table(data):
+    data["group"]["table"] = [[0, 1], [1]]
+
+
+def _twist_of_letters(data):
+    data["twist" if "twist" in data else "p"]["values"] = ["x", 0]
+
+
+def _fractional_twist(data):
+    data["twist" if "twist" in data else "p"]["values"] = [0.5, 0]
+
+
 # command -> builders of its input files; the mutation edits the last one
 _INPUTS = {
     "index": [_generators_form],
@@ -230,6 +263,20 @@ _INPUTS = {
         ("fmps-symmetry", _q_key, "InvalidSystem"),
         ("cocycle-check", _phase_k_not_an_integer, "InvalidSystem"),
         ("cocycle-check", _phase_root_order_zero, "InvalidSystem"),
+        ("cocycle-check", _phase_re_not_a_number, "InvalidSystem"),
+        ("cocycle-check", _phases_of_plain_integers, "InvalidSystem"),
+        *[
+            (command, mutate, token)
+            for command in ("cocycle-check", "index")
+            for mutate, token in (
+                (_table_of_letters, "InvalidSystem"),
+                (_table_of_numeric_strings, "InvalidSystem"),
+                (_fractional_table, "InvalidSystem"),
+                (_ragged_table, "NoIdentity"),
+                (_twist_of_letters, "InvalidSystem"),
+                (_fractional_twist, "InvalidSystem"),
+            )
+        ],
         # for fmps-expect the "mutation" is the --word; None means a usage error
         ("fmps-expect", '[["a",0]]', None),
         ("fmps-expect", "[[1]]", None),
@@ -240,9 +287,9 @@ _INPUTS = {
     ],
 )
 def test_malformed_input_gives_an_error_token(command, mutate, token, tmp_path, capsys):
-    """Malformed matrices, generator lists, integer fields and MPS bond matrices
-    exit 1 with a JSON error token, and a malformed --word exits 2, never with a
-    Python traceback."""
+    """Malformed matrices, generator lists, integer fields, group tables, twists,
+    phases and MPS bond matrices exit 1 with a JSON error token, and a malformed
+    --word exits 2, never with a Python traceback."""
     files = [build() for build in _INPUTS[command]]
     extra = ["--word", mutate] if command == "fmps-expect" else []
     if not extra:

@@ -16,6 +16,7 @@ from fspt import (
     cyclic,
     full_matrix_algebra,
     index_equal,
+    klein,
     r0_system,
     r1_system,
     stack_index,
@@ -36,12 +37,15 @@ from fspt.errors import (
     GradingActionIndeterminate,
     GroupMismatch,
     InvalidSystem,
+    MarkerNotFound,
     NotBalanced,
     NotGraded,
     NotTimeReversalShape,
+    NotUnitary,
 )
 from fspt.invariant import Z8_GENERATOR, Z8_IDENTITY, z8_decode
-from fspt.rep import pair
+from fspt.linalg import TOL, sign_match, vec
+from fspt.rep import adjoint_action, pair
 from fspt.system import GradedSystem
 from conftest import (
     I2,
@@ -49,6 +53,7 @@ from conftest import (
     SY,
     SZ,
     d4_grid,
+    per_element_implementer,
     q8_grid,
     random_unitary,
     tr_grid,
@@ -463,3 +468,105 @@ def test_sign_character_reads_signs_and_names_first_failing_element():
     with pytest.raises(GradingActionIndeterminate) as info:
         rep.sign_character(sx + np.diag([1.0, -1.0]), error)
     assert str(info.value) == "action of 1 sends the marker to neither +/- itself"
+
+
+def test_act_all_matches_the_action_of_each_element(rng):
+    """act_all(x)[g] = V_g conj^p(g)(x) V_g^dag, with and without leading axes."""
+    rep = twisted_klein_grid()[(1, 1, 1)].action
+    n = rep.dim
+    for shape in ((n, n), (2, 3, n, n)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        moved = rep.act_all(x)
+        assert moved.shape == (rep.group.n,) + shape
+        for g in rep.group.elements():
+            assert np.allclose(moved[g], adjoint_action(rep.op(g), x), rtol=0, atol=1e-12)
+
+
+# Each batched check must name the g that a loop over the elements stops at.
+# The faults act on R1 with K = 2 over the Klein group: B(K) (x) span{1, sx}
+# is the sum of the blocks B(K) (x) P+ and B(K) (x) P-, swapped by Gamma.
+_H = (SX + SZ) / np.sqrt(2)
+_FAULTS = {
+    # sends 1 (x) sx to 1 (x) sz, outside the algebra
+    "preserve the algebra": np.kron(I2, _H),
+    # fixes both blocks but acts on them by different unitaries 1 and sz
+    "commute with the grading": np.kron(I2, (I2 + SX) / 2) + np.kron(SZ, (I2 - SX) / 2),
+}
+
+
+def _klein_r1_parts(planted):
+    """Algebra, grading and an action that is trivial but for planted[g]."""
+    v4 = klein()
+    base = r1_system(ProjectiveRep.build(v4, trivial_hom(v4), [np.eye(4)] * 4), 2)
+    mats = [planted.get(g, np.eye(4, dtype=complex)) for g in v4.elements()]
+    return base.algebra, base.gamma, ProjectiveRep.build(v4, trivial_hom(v4), mats)
+
+
+def _first_action_fault(algebra, gamma, action):
+    """The element-by-element action check: the message at its first fault."""
+    for g in action.group.elements():
+        moved = action.act(g, algebra.generators)
+        swap = gamma @ moved @ gamma
+        drift = swap - action.act(g, gamma @ algebra.generators @ gamma)
+        leaves = algebra.outside(moved)
+        size = TOL * np.maximum(1.0, np.linalg.norm(vec(swap), axis=-1))
+        mixes = np.linalg.norm(vec(drift), axis=-1) > size
+        first = np.argmax(leaves | mixes)
+        if leaves[first] or mixes[first]:
+            what = "preserve the algebra" if leaves[first] else "commute with the grading"
+            return f"action of {g} does not {what}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        {3: "preserve the algebra"},
+        {3: "commute with the grading"},
+        {1: "commute with the grading", 3: "preserve the algebra"},
+        {2: "preserve the algebra", 3: "commute with the grading"},
+    ],
+)
+def test_action_check_names_the_first_failing_element(planted):
+    algebra, gamma, action = _klein_r1_parts({g: _FAULTS[w] for g, w in planted.items()})
+    with pytest.raises(InvalidSystem) as info:
+        GradedSystem(algebra, gamma, action)
+    g = min(planted)
+    assert str(info.value) == f"action of {g} does not {planted[g]}"
+    assert str(info.value) == _first_action_fault(algebra, gamma, action)
+
+
+@pytest.mark.parametrize("mats, g", [([I2, SX, SZ, _H], 3), ([I2, _H, SX, _H], 1)])
+def test_sign_character_names_the_first_failing_element_of_many(mats, g):
+    v4 = klein()
+    rep = ProjectiveRep.build(v4, trivial_hom(v4), mats)
+    loop = next(h for h in v4.elements() if sign_match(rep.act(h, SZ), SZ) is None)
+    error = "action of {g} sends the marker to neither +/- itself"
+    with pytest.raises(GradingActionIndeterminate) as info:
+        rep.sign_character(SZ, error)
+    assert str(info.value) == error.format(g=g) and loop == g
+
+
+@pytest.mark.parametrize("mats, g", [([I2, SX, SZ, 2 * I2], 3), ([I2, 2 * I2, SZ, SX + SZ], 1)])
+def test_projective_rep_names_the_first_non_unitary_operator(mats, g):
+    loop = next(h for h, m in enumerate(mats) if np.linalg.norm(m @ m.conj().T - I2) > 2e-9)
+    with pytest.raises(NotUnitary) as info:
+        ProjectiveRep.build(klein(), trivial_hom(klein()), mats)
+    assert str(info.value) == f"operator {g} is not unitary within 1e-9" and loop == g
+
+
+@pytest.mark.parametrize("planted", [(3,), (1, 3)])
+def test_compute_index_names_the_first_element_without_an_implementer(planted, monkeypatch):
+    """With the action check skipped, an operator that acts on the two blocks
+    by different unitaries has no implementer W (x) M on the even factor."""
+    monkeypatch.setattr(GradedSystem, "_validate_action", lambda self: None)
+    fault = _FAULTS["commute with the grading"]
+    algebra, gamma, action = _klein_r1_parts({g: fault for g in planted})
+    v = np.concatenate([algebra.blocks[0], gamma @ algebra.blocks[0]], axis=-1)
+    loop = next(
+        g for g in action.group.elements()
+        if per_element_implementer(v, action.mats[g], 0)[1] > TOL * v.shape[0]
+    )
+    with pytest.raises(MarkerNotFound, match=f"implementer for {planted[0]} fails") as info:
+        compute_index(GradedSystem(algebra, gamma, action))
+    assert loop == planted[0] and str(info.value).startswith(f"implementer for {loop} ")
