@@ -17,7 +17,7 @@ import numpy as np
 from . import serialize
 from .cocycle import cohomologous, default_modulus
 from .errors import DomainError
-from .fmps import check_symmetry, density_matrix, expectation, fmps_index
+from .fmps import check_symmetry, density_matrix, expectation, fmps_index, transfer_matrix
 from .invariant import (
     Z8_GENERATOR,
     index_equal,
@@ -34,10 +34,13 @@ MODULUS_CAVEAT = (
 
 
 def _load(path: str):
-    if not path:
-        raise FileNotFoundError("a required input file argument is missing")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+
+    def refuse(name: str):  # Python's json reads NaN, Infinity and -Infinity; JSON has none
+        raise json.JSONDecodeError(f"{name} is not a JSON number", text, text.index(name))
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def _emit(payload) -> None:
@@ -46,12 +49,7 @@ def _emit(payload) -> None:
 
 def _cmd_group_check(args) -> dict:
     group = serialize.group_from_json(_load(args.infile))
-    return {
-        "ok": True,
-        "n": group.n,
-        "identity": group.identity,
-        "inverse": group.inverse.tolist(),
-    }
+    return {"ok": True, "n": group.n, "identity": group.identity, "inverse": group.inverse.tolist()}
 
 
 def _cmd_cocycle_check(args) -> dict:
@@ -115,8 +113,6 @@ def _cmd_z8_table(args):
 
 def _cmd_fmps_validate(args) -> dict:
     mps = serialize.mps_from_json(_load(args.infile))
-    from .fmps import transfer_matrix
-
     evals = sorted(np.abs(np.linalg.eigvals(transfer_matrix(mps.v))), reverse=True)
     return {
         "ok": True,
@@ -124,9 +120,7 @@ def _cmd_fmps_validate(args) -> dict:
         "d": mps.d,
         "m": mps.m,
         "sigma0": mps.sigma0,
-        "subleading_eigenvalue": serialize.round_sig(
-            float(evals[1]) if len(evals) > 1 else 0.0
-        ),
+        "subleading_eigenvalue": serialize.round_sig(float(evals[1]) if len(evals) > 1 else 0.0),
     }
 
 
@@ -138,6 +132,15 @@ def site_word(text: str) -> list[tuple[int, int]]:
     ):
         raise ValueError(text)
     return [(mu, nu) for mu, nu in word]
+
+
+def at_least(least: int):
+    """An argparse type: an integer >= least; argparse exits 2 otherwise."""
+    def integer(text: str) -> int:
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"{value} is not an integer >= {least}")
+        return value
+    return integer
 
 
 def _cmd_fmps_expect(args) -> dict:
@@ -197,11 +200,11 @@ def _cmd_fmps_index(args) -> dict:
 
 
 _FLAGS = {
-    "--in": dict(dest="infile", help="input JSON file"),
-    "--in2": dict(dest="infile2", help="second input JSON file"),
-    "--l": dict(type=int, default=1, help="chain length minus one"),
+    "--in": dict(dest="infile", required=True, help="input JSON file"),
+    "--in2": dict(dest="infile2", required=True, help="second input JSON file"),
+    "--l": dict(type=at_least(0), default=1, help="chain length minus one"),
     "--word": dict(type=site_word, required=True, help="site word as JSON, e.g. [[1,0],[0,1]]"),
-    "--modulus": dict(type=int, default=None, help="root lattice order"),
+    "--modulus": dict(type=at_least(1), default=None, help="root lattice order"),
     "--table": dict(action="store_true", help="plain table instead of JSON"),
 }
 
@@ -249,14 +252,11 @@ def run(argv) -> int:
     except DomainError as err:
         _emit({"error": err.token, "detail": str(err)})
         return 1
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as err:
-        if isinstance(err, json.JSONDecodeError):
-            print(
-                f"malformed JSON at line {err.lineno} column {err.colno}: {err.msg}",
-                file=sys.stderr,
-            )
-        else:
-            print(f"bad input: {err}", file=sys.stderr)
+    except json.JSONDecodeError as err:
+        print(f"malformed JSON at line {err.lineno} column {err.colno}: {err.msg}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as err:  # unreadable, or not UTF-8 text
+        print(f"bad input: {err}", file=sys.stderr)
         return 2
     if payload is not None:
         _emit(payload)

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from fspt import Phase, cyclic, klein, trivial_cocycle, validate_hom_z2
 from fspt import serialize
 from fspt.cli import run
+from fspt.errors import InvalidSystem
 from conftest import (
     I2,
     SY,
@@ -106,6 +109,36 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literals_are_malformed_json(literal, tmp_path, capsys):
+    data = json.dumps(serialize.mps_to_json(majorana_mps(1)))
+    path = tmp_path / "mps.json"
+    path.write_text(data.replace("0.707106781187", literal, 1))
+    assert run(["fmps-validate", "--in", str(path)]) == 2
+    assert f"{literal} is not a JSON number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [None, float("nan"), float("inf"), True, "1", 2**1024],
+    ids=["null", "nan", "inf", "true", "string", "beyond-float"],
+)
+def test_matrix_entries_must_be_finite_numbers(entry):
+    with pytest.raises(InvalidSystem, match="^input must be a square matrix of finite"):
+        serialize.matrix_from_json([[[1, 0], [entry, 0]], [[0, 0], [1, 0]]])
+
+
+def test_error_detail_names_the_json_path(tmp_path, capsys):
+    data = serialize.system_to_json(tr_system(0, SY, 1))
+    data["action"][1]["matrix"][0][1] = [None, 0]
+    del data["p"]
+    for detail in ("p is missing", "action[1].matrix must be a square matrix"):
+        assert run(["index", "--in", write(tmp_path, "s.json", data)]) == 1
+        out = json.loads(capture(capsys))
+        assert out["error"] == "InvalidSystem" and out["detail"].startswith(detail)
+        data["p"] = {"values": [0, 1]}
+
+
 def test_unknown_subcommand_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
@@ -119,6 +152,10 @@ def test_unknown_subcommand_exit_2():
         ["cohomologous", "--in", "{u}", "--in2", "{u}", "--tol", "1e-8"],  # fixed thresholds
         ["group-check", "--in", "{group}", "--json"],  # JSON needs no flag
         ["fmps-index", "--in", "{both}"],  # the symmetry comes only from --in2
+        ["cohomologous", "--in", "{u}", "--in2", "{u}", "--modulus", "0"],  # a lattice order >= 1
+        ["cohomologous", "--in", "{u}", "--in2", "{u}", "--modulus", "-3"],
+        ["fmps-rho", "--in", "{both}", "--l", "-1"],  # a chain length >= 0
+        ["fmps-rho", "--in", "{both}", "--l", "-5"],
     ],
 )
 def test_cli_usage_errors_exit_2(argv, tmp_path):
@@ -219,6 +256,22 @@ def _fractional_table(data):
     data["group"]["table"] = [[0, 1.5], [1, 0]]
 
 
+def _group_size_mismatch(data):
+    data["group"]["n"] = 3
+
+
+def _no_table(data):
+    del data["group"]["table"]
+
+
+def _bond_size_mismatch(data):
+    data["m"] = 3
+
+
+def _no_kind(data):
+    del data["kind"]
+
+
 def _ragged_table(data):
     data["group"]["table"] = [[0, 1], [1]]
 
@@ -259,6 +312,8 @@ _INPUTS = {
         ("fmps-validate", _v_shapes_differ, "DimensionMismatch"),
         ("fmps-validate", _d_not_an_integer, "InvalidMPS"),
         ("fmps-validate", _odd_sigma0_not_an_integer, "InvalidMPS"),
+        ("fmps-validate", _bond_size_mismatch, "DimensionMismatch"),
+        ("fmps-validate", _no_kind, "InvalidMPS"),
         ("fmps-symmetry", _flag_not_an_integer, "InvalidSystem"),
         ("fmps-symmetry", _q_key, "InvalidSystem"),
         ("cocycle-check", _phase_k_not_an_integer, "InvalidSystem"),
@@ -275,6 +330,8 @@ _INPUTS = {
                 (_ragged_table, "NoIdentity"),
                 (_twist_of_letters, "InvalidSystem"),
                 (_fractional_twist, "InvalidSystem"),
+                (_group_size_mismatch, "InvalidSystem"),
+                (_no_table, "InvalidSystem"),
             )
         ],
         # for fmps-expect the "mutation" is the --word; None means a usage error
@@ -308,6 +365,101 @@ def test_malformed_input_gives_an_error_token(command, mutate, token, tmp_path, 
     else:
         assert code == 1
         assert json.loads(captured.out)["error"] == token
+
+
+# one valid input per file-reading subcommand: (file builders, extra flags)
+_FUZZ_INPUTS = {
+    "group-check": ([lambda: serialize.group_to_json(klein())], []),
+    "cocycle-check": (_INPUTS["cocycle-check"], []),
+    "cohomologous": (
+        [lambda: serialize.cocycle_to_json(_klein_epsilon())] + _INPUTS["cocycle-check"], []
+    ),
+    "index": ([_generators_form], []),
+    "stack": ([_generators_form, lambda: serialize.system_to_json(tr_system(1, SY, 1))], []),
+    "fmps-validate": (_INPUTS["fmps-validate"], []),
+    "fmps-expect": (_INPUTS["fmps-expect"], ["--word", "[[1,0],[0,1]]"]),
+    "fmps-rho": (_INPUTS["fmps-validate"], ["--l", "1"]),
+    "fmps-symmetry": (_INPUTS["fmps-symmetry"], []),
+    "fmps-index": (
+        [
+            lambda: serialize.mps_to_json(even_mps_d2()),
+            lambda: serialize.symmetry_to_json(even_d2_symmetry()),
+        ],
+        [],
+    ),
+}
+
+# the values written in place of each node; json.dumps writes NaN as the non-JSON literal
+_WRONG_KINDS = [None, True, 0, -1, 1.5, "x", [], [1], [[1]], {}, {"a": 1}, float("nan")]
+
+
+def _klein_epsilon():
+    from fspt import epsilon
+
+    v4 = klein()
+    return epsilon(validate_hom_z2(v4, [0, 0, 1, 1]), validate_hom_z2(v4, [0, 1, 0, 1]))
+
+
+def _json_paths(node, path=()):
+    """The path of every node, the root included, through the first 3 entries of each list."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node[:3]) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _replaced(data, path, value):
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return data
+
+
+def test_wrong_kind_fuzz_never_ends_in_a_traceback(tmp_path, capsys):
+    """Each JSON node of a valid input, replaced by a value of each wrong kind: every
+    file-reading subcommand exits 0 with JSON, or 1 with a JSON error token, and exits
+    2 only on the NaN literal, which is malformed JSON.  At most 100 cases per
+    subcommand, drawn with a fixed seed."""
+    draw = random.Random(21)
+    failures, count = [], 0
+    for command, (builders, extra) in _FUZZ_INPUTS.items():
+        files = [build() for build in builders]
+        cases = [
+            (i, path, value)
+            for i, data in enumerate(files)
+            for path in _json_paths(data)
+            for value in _WRONG_KINDS
+        ]
+        for i, path, value in draw.sample(cases, min(100, len(cases))):
+            mutated = list(files)
+            mutated[i] = _replaced(files[i], path, value)
+            paths = [write(tmp_path, f"in{j}.json", data) for j, data in enumerate(mutated)]
+            argv = [command, "--in", paths[0]] + ["--in2", paths[-1]] * (len(paths) > 1) + extra
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a traceback: the failure this test looks for
+                code = exc
+            out = capsys.readouterr().out
+            if value != value:  # NaN
+                ok = code == 2
+            elif code == 0:
+                ok = isinstance(json.loads(out), dict)
+            else:
+                ok = code == 1 and isinstance(json.loads(out).get("error"), str)
+            count += 1
+            if not ok:
+                failures.append(f"{command} file {i} at {list(path)} <- {value!r}: {code!r}")
+    assert 900 <= count <= 1000
+    assert not failures, f"{len(failures)} of {count} cases:\n" + "\n".join(failures[:40])
 
 
 def test_cohomologous_cli_with_caveat(tmp_path, capsys):
