@@ -40,7 +40,10 @@ def _load(path: str):
     def refuse(name: str):  # Python's json reads NaN, Infinity and -Infinity; JSON has none
         raise json.JSONDecodeError(f"{name} is not a JSON number", text, text.index(name))
 
-    return json.loads(text, parse_constant=refuse)
+    try:
+        return json.loads(text, parse_constant=refuse)
+    except RecursionError:  # json's decoder recurses once per nested list or object
+        raise json.JSONDecodeError("nesting too deep", text, 0) from None
 
 
 def _emit(payload) -> None:

@@ -52,20 +52,27 @@ def _roots(k: np.ndarray, N: int) -> np.ndarray:
 
 
 def _pack(values, shape: tuple, tol: float) -> tuple[np.ndarray, int]:
-    """(int64 exponents, N) of exact phases on their lcm order N, else (complex128, 0)."""
-    floating = getattr(values, "dtype", None) == np.complex128  # checked as one array
-    raw = values if floating else np.asarray(values, dtype=object)
-    if raw.shape != shape:
-        raise NotNormalized(f"expected a {' x '.join(map(str, shape))} table")
-    if floating:
-        size = np.abs(raw)
-        if (off := np.abs(size - 1.0) > tol).any():
-            raise NotUnitPhase(f"|z| = {size[off][0]:.3e} deviates from 1 beyond {tol:.1e}")
-        return raw / size, 0
-    phases = [Phase.coerce(x, tol) for x in raw.flat]
-    if not all(p.is_exact for p in phases):
+    """(int64 exponents, N) of exact phases on their lcm order N, else (complex128, 0).
+
+    Rows are read one axis at a time, arrays through ``tolist`` (int +-1 stay exact)."""
+    if isinstance(values, np.ndarray):
+        if values.shape != shape:
+            raise NotNormalized(f"expected a {' x '.join(map(str, shape))} table")
+        if values.dtype == np.complex128:
+            size = np.abs(values)
+            if (off := np.abs(size - 1.0) > tol).any():
+                raise NotUnitPhase(f"|z| = {size[off][0]:.3e} deviates from 1 beyond {tol:.1e}")
+            return values / size, 0
+    flat = [values]
+    for n in shape:  # the rows of each axis, then the entries
+        flat = [r.tolist() if isinstance(r, np.ndarray) else r for r in flat]
+        if not all(isinstance(r, (list, tuple)) and len(r) == n for r in flat):
+            raise NotNormalized(f"expected a {' x '.join(map(str, shape))} table")
+        flat = [x for r in flat for x in r]
+    phases = [x if isinstance(x, Phase) else Phase.coerce(x, tol) for x in flat]
+    if any(p.z is not None for p in phases):
         return np.array([p.value for p in phases], dtype=complex).reshape(shape), 0
-    N = lcm(*(p.N for p in phases))
+    N = lcm(*{p.N for p in phases})
     _check_order(N)
     return np.array([p.k * (N // p.N) for p in phases], dtype=np.int64).reshape(shape), N
 
@@ -75,19 +82,13 @@ class TwistedCocycle:
     """A table v: G x G -> U(1) satisfying the p-twisted cocycle identity.
 
     ``table`` holds int64 exponents on the N-th roots, or complex128 values
-    with N = 0.  Any other table (e.g. of Phase) is packed unchecked.
+    with N = 0; :func:`validate_cocycle` reads any other table.
     """
 
     group: FiniteGroup
     twist: Z2Hom
     table: np.ndarray
     N: int = 0
-
-    def __post_init__(self):
-        if getattr(self.table, "dtype", None) not in (np.int64, np.complex128):
-            table, N = _pack(self.table, (self.group.n,) * 2, 1e-9)
-            object.__setattr__(self, "table", table)
-            object.__setattr__(self, "N", N)
 
     @property
     def n(self) -> int:

@@ -114,8 +114,10 @@ def _validate_common(d, v, D):
             f"v must have shape ({nloc}, m, m), got {v.shape}"
         )
     m = v.shape[1]
+    if not np.abs(v).max(initial=0.0) <= 1.0 + TOL * m:  # else v v^dag might overflow
+        raise InvalidMPS("normalization sum_mu v_mu v_mu^dag = 1 fails: some |v_mu[i, j]| > 1")
     gram = sum(a @ a.conj().T for a in v)
-    if np.linalg.norm(gram - np.eye(m)) > TOL * m:
+    if not np.linalg.norm(gram - np.eye(m)) <= TOL * m:
         scale = np.trace(gram).real / m
         raise InvalidMPS(
             "normalization sum_mu v_mu v_mu^dag = 1 fails; if the defect is a "

@@ -120,7 +120,7 @@ def validate_hom_z2(group: FiniteGroup, values) -> Z2Hom:
     v = _integers(values, NotHomomorphism, "values")
     if v.shape != (group.n,):
         raise NotHomomorphism(f"expected {group.n} values, got shape {v.shape}")
-    if not np.isin(v, (0, 1)).all():
+    if not ((v == 0) | (v == 1)).all():
         raise NotHomomorphism("values must lie in {0, 1}")
     expected = (v[:, None] + v[None, :]) % 2
     actual = v[group.table]

@@ -51,7 +51,7 @@ class Phase:
 
     @staticmethod
     def coerce(value, tol: float = 1e-9) -> "Phase":
-        """Accept a Phase, an int (+1/-1) or a complex number."""
+        """Accept a Phase, an int (+1/-1) or a complex number; NotUnitPhase otherwise."""
         if isinstance(value, Phase):
             return value
         if isinstance(value, int):
@@ -59,7 +59,10 @@ class Phase:
                 return Phase.one()
             if value == -1:
                 return Phase.minus_one()
-        return Phase.from_complex(complex(value), tol)
+        try:
+            return Phase.from_complex(complex(value), tol)
+        except (TypeError, ValueError, OverflowError):
+            raise NotUnitPhase(f"{value!r:.80} is not a number") from None
 
     @property
     def is_exact(self) -> bool:

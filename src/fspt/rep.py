@@ -50,8 +50,10 @@ class ProjectiveRep:
             if f != self.twist(g):
                 raise InvalidSystem(f"flag of operator {g} is {f}, twist demands {self.twist(g)}")
         mats = np.stack([np.asarray(m, dtype=complex) for m, _ in self.ops])
-        gram = mats @ mats.conj().swapaxes(-1, -2) - np.eye(dim)
-        if (bad := np.linalg.norm(gram, axis=(-2, -1)) > 1e-9 * dim).any():
+        # an entry beyond modulus 1 + 1e-9 dim breaks M M^dag = 1 and could overflow it: M -> 0
+        small = np.where((np.abs(mats) <= 1 + 1e-9 * dim).all(axis=(1, 2), keepdims=True), mats, 0)
+        gram = small @ small.conj().swapaxes(-1, -2) - np.eye(dim)
+        if (bad := ~(np.linalg.norm(gram, axis=(-2, -1)) <= 1e-9 * dim)).any():
             raise NotUnitary(f"operator {int(np.argmax(bad))} is not unitary within 1e-9")
         if np.linalg.norm(mats[self.group.identity] - np.eye(dim)) > 1e-8 * dim:
             raise InvalidSystem("operator at the identity must be the identity")

@@ -209,7 +209,10 @@ def mps_from_json(data) -> FermionicMPS:
         raise DimensionMismatch(f"bond matrices v must all be m x m, m = {m}")
     dmat = matrix_from_json(node["D"]) if "D" in node else None
     if (kind := node["kind"].value) == "even":
-        return even_mps(d, np.stack(v), matrix_from_json(node["Theta"]), dmat)
+        mps = even_mps(d, np.stack(v), matrix_from_json(node["Theta"]), dmat)
+        if (sigma0 := node.get("sigma0", mps.sigma0)).integer() != mps.sigma0:
+            raise sigma0.wrong(f"{mps.sigma0}, the parity offset of v under Theta")
+        return mps
     if kind == "odd":
         return odd_mps(d, np.stack(v), node.get("sigma0", 0).integer(), dmat)
     raise InvalidMPS(f"unknown MPS kind {kind!r:.80}")

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -27,11 +28,13 @@ from fspt import (
     validate_group,
     validate_hom_z2,
 )
-from fspt.cocycle import TwistedCocycle, _coboundary_elimination
+from fspt.cocycle import TwistedCocycle, _check_order, _coboundary_elimination, _pack
 from fspt.errors import (
     CocycleIdentityFails,
     MismatchedGroup,
+    NotNormalized,
     NotRootOfUnity,
+    NotUnitPhase,
     SizeTooLarge,
 )
 from conftest import PAULI_REP, SY
@@ -90,7 +93,7 @@ def test_i_valued_table_twist_decides():
     assert witness.verify(u, trivial_cocycle(Z2, P_TRIV))
     # with the anti-unitary twist the defect at (1,1,1) is conj(i)/i = -1
     assert cocycle_defect(
-        u.__class__(Z2, P_ID, table), 1, 1, 1
+        u.__class__(Z2, P_ID, u.table, u.N), 1, 1, 1
     ).close_to(Phase.minus_one())
     with pytest.raises(CocycleIdentityFails):
         validate_cocycle(Z2, P_ID, table)
@@ -361,6 +364,115 @@ def test_huge_common_root_order_raises_size_too_large():
         validate_cocycle(z3, trivial_hom(z3), table)
 
 
+def object_array_pack(values, shape, tol):
+    """The object-array reader that cocycle._pack replaced, kept as its reference:
+    (int64 exponents, N) of exact phases on their lcm order N, else (complex128, 0)."""
+    floating = getattr(values, "dtype", None) == np.complex128
+    raw = values if floating else np.asarray(values, dtype=object)
+    if raw.shape != shape:
+        raise NotNormalized(f"expected a {' x '.join(map(str, shape))} table")
+    if floating:
+        size = np.abs(raw)
+        if (off := np.abs(size - 1.0) > tol).any():
+            raise NotUnitPhase(f"|z| = {size[off][0]:.3e} deviates from 1 beyond {tol:.1e}")
+        return raw / size, 0
+    phases = [Phase.coerce(x, tol) for x in raw.flat]
+    if not all(p.is_exact for p in phases):
+        return np.array([p.value for p in phases], dtype=complex).reshape(shape), 0
+    N = lcm(*(p.N for p in phases))
+    _check_order(N)
+    return np.array([p.k * (N // p.N) for p in phases], dtype=np.int64).reshape(shape), N
+
+
+def _object_array(rows):
+    out = np.empty((len(rows), len(rows[0])), dtype=object)
+    out[:] = [list(row) for row in rows]
+    return out
+
+
+_W = complex(np.exp(0.3j))
+_EXACT_ROWS = [  # mixed root orders, Phase and int entries
+    [Phase.one(), 1, Phase.exact(1, 3), Phase.exact(3, 4)],
+    [-1, Phase.exact(5, 6), Phase.minus_one(), 1],
+    [Phase.exact(2, 5), 1, Phase.exact(7, 12), -1],
+    [1, -1, -1, Phase.exact(1, 8)],
+]
+_MIXED_ROWS = [  # every kind of entry, one of them floating
+    [Phase.one(), 1, 1.0, Phase.exact(1, 3)],
+    [-1.0, 1j, Phase.from_complex(_W), -1],
+    [np.int64(1), np.float64(-1.0), True, complex(-1)],
+    [Phase.minus_one(), -1j, _W, np.complex128(1j)],
+]
+_SIGNS = np.array([[1, -1, 1, 1], [-1, -1, 1, -1], [1, 1, -1, 1], [-1, 1, 1, -1]])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _EXACT_ROWS,
+        tuple(map(tuple, _EXACT_ROWS)),
+        _object_array(_EXACT_ROWS),
+        _MIXED_ROWS,
+        _object_array(_MIXED_ROWS),
+        [list(row) for row in _SIGNS.astype(float)],
+        _SIGNS,
+        _SIGNS.astype(np.int32),
+        _SIGNS.astype(object),
+        list(_SIGNS),  # rows that are int arrays
+        _SIGNS.astype(complex),
+        _SIGNS * np.exp(0.1j),
+        [[Phase.exact(1, 2**31 - 1), 1, 1, 1], [1, 1, 1, Phase.exact(1, 2**29)], *_SIGNS[2:]],
+        # 1-D cochains, as coboundary reads them
+        _EXACT_ROWS[0],
+        tuple(_MIXED_ROWS[2]),
+        _object_array(_EXACT_ROWS)[1],
+        _SIGNS[0],
+        _SIGNS[0].astype(object),
+        [Phase.one(), _W, -1, 1j],
+    ],
+)
+def test_pack_matches_the_object_array_reader(values):
+    shape = (4,) * (1 + isinstance(values[0], (list, tuple, np.ndarray)))
+    table, N = _pack(values, shape, 1e-9)
+    ref_table, ref_N = object_array_pack(values, shape, 1e-9)
+    assert N == ref_N and table.dtype == ref_table.dtype
+    assert table.shape == shape and np.array_equal(table, ref_table)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[1, 1, 1, 1]] * 3,  # wrong size
+        [[1, 1, 1, 1]] * 3 + [[1, 1, 1]],  # ragged
+        [[1, 1, 1, 1]] * 3 + [1],
+        [1, 1, 1, 1],  # a cochain where a table is due
+        1,  # scalar
+        Phase.one(),
+        np.array(1),
+        None,
+        "1111",
+        np.ones((4, 4, 1), dtype=int),  # 3-D
+        np.ones((4, 4), dtype=complex)[:3],
+    ],
+)
+def test_pack_refuses_a_table_of_another_shape(values):
+    with pytest.raises(NotNormalized, match="expected a 4 x 4 table"):
+        _pack(values, (4, 4), 1e-9)
+    with pytest.raises(NotNormalized):
+        validate_cocycle(V4, trivial_hom(V4), values)
+
+
+@pytest.mark.parametrize(
+    "entry", [None, [1], "x", {}, 10**400], ids=["none", "list", "letter", "dict", "beyond-float"]
+)
+def test_pack_refuses_an_entry_that_is_no_number(entry):
+    table = [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, -1, entry], [1, 1, 1, 1]]
+    with pytest.raises(NotUnitPhase):
+        validate_cocycle(V4, trivial_hom(V4), table)
+    with pytest.raises(NotUnitPhase):
+        coboundary([1, 1, entry, 1], V4, trivial_hom(V4))
+
+
 AGREEMENT_GROUPS = [cyclic(2), cyclic(4), klein(), dihedral(3), dihedral(4), quaternion8()]
 
 
@@ -402,7 +514,8 @@ def test_validate_agrees_with_scalar_defects(gi, seed, kind, perturb):
     rng = np.random.default_rng(seed)
     for twist in all_z2_homs(group):
         table = _agreement_table(group, twist, rng, kind, perturb)
-        reference = TwistedCocycle(group, twist, table)
+        shape = (group.n, group.n)
+        reference = TwistedCocycle(group, twist, *object_array_pack(table, shape, 1e-9))
         first = next(
             (
                 fgh

@@ -109,6 +109,12 @@ def test_non_integral_or_ragged_table_is_rejected(table):
         validate_group(table)
 
 
+@pytest.mark.parametrize("values", [[0, 2], [0, -1], [2, 0]])
+def test_hom_values_outside_z2_are_rejected(values):
+    with pytest.raises(NotHomomorphism, match=r"values must lie in \{0, 1\}"):
+        validate_hom_z2(cyclic(2), values)
+
+
 @pytest.mark.parametrize("values", [[0.5, 0], ["0", "1"], ["x", 0], [[0], 1]])
 def test_non_integral_hom_values_are_rejected(values):
     with pytest.raises(NotHomomorphism, match="rectangular array of integers"):

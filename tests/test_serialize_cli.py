@@ -109,6 +109,13 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+def test_json_nested_too_deep_is_malformed(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert run(["group-check", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "malformed JSON at line 1 column 1: nesting too deep\n"
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_literals_are_malformed_json(literal, tmp_path, capsys):
     data = json.dumps(serialize.mps_to_json(majorana_mps(1)))
@@ -219,6 +226,22 @@ def _odd_sigma0_not_an_integer(data):
     data.update(serialize.mps_to_json(majorana_mps(1)), sigma0="one")
 
 
+def _even_sigma0_not_an_integer(data):
+    data["sigma0"] = None
+
+
+def _even_sigma0_not_the_offset(data):
+    data["sigma0"] = 1 - data["sigma0"]
+
+
+def _huge_v_entry(data):
+    data["v"]["0"][0][0] = [1e200, 0]
+
+
+def _huge_action_entry(data):
+    data["action"][1]["matrix"][0][1] = [1e200, 0]
+
+
 def _flag_not_an_integer(data):
     data["U"][1]["flag"] = "yes"
 
@@ -312,6 +335,10 @@ _INPUTS = {
         ("fmps-validate", _v_shapes_differ, "DimensionMismatch"),
         ("fmps-validate", _d_not_an_integer, "InvalidMPS"),
         ("fmps-validate", _odd_sigma0_not_an_integer, "InvalidMPS"),
+        ("fmps-validate", _even_sigma0_not_an_integer, "InvalidMPS"),
+        ("fmps-validate", _even_sigma0_not_the_offset, "InvalidMPS"),
+        ("fmps-validate", _huge_v_entry, "InvalidMPS"),
+        ("index", _huge_action_entry, "NotUnitary"),
         ("fmps-validate", _bond_size_mismatch, "DimensionMismatch"),
         ("fmps-validate", _no_kind, "InvalidMPS"),
         ("fmps-symmetry", _flag_not_an_integer, "InvalidSystem"),
