@@ -6,8 +6,8 @@ every triple.  Elements g with twist p(g) = 1 act by complex conjugation.
 
 Equivalence is decided exactly: phases are snapped onto a root lattice Z_M
 and the coboundary condition becomes linear congruences mod M, whose matrix
-is eliminated once per (G, p, M) and replayed on each right-hand side.  |G|
-annihilates H^n(G, U(1)_p) (Brown, Cohomology of Groups, III.10), so for
+is eliminated once per (G, p, M); one product solves each right-hand side.
+|G| annihilates H^n(G, U(1)_p) (Brown, Cohomology of Groups, III.10), so for
 exact inputs the default modulus is complete and a False verdict is final;
 otherwise it holds only relative to Z_M.
 """
@@ -266,8 +266,8 @@ def cohomologous(
 
         x_g + (-1)^p(g) x_h - x_gh  =  a2(g,h) - a1(g,h)   (mod M),
 
-    a linear congruence system solved exactly over the integers.  A False
-    verdict on exact inputs at the default modulus is final, else lattice-relative.
+    solved exactly: the cached elimination proposes x, A x = c (mod M) decides.
+    A False verdict on exact inputs at the default modulus is final, else lattice-relative.
     """
     if not u1.group.same_as(u2.group) or not u1.twist.same_as(u2.twist):
         raise MismatchedGroup("cocycles must share group and twist")
@@ -283,8 +283,6 @@ def cohomologous(
         return False, None
     # the (e, h) equations read x_e = 0, so b(e) = 1 holds automatically
     assert x[group.identity] == 0
-    if ((_coboundary_exponents(np.array(x), group, p) - rhs) % m).any():
-        raise AssertionError("congruence solver produced an invalid witness")
     b = tuple(Phase.exact(int(k), m) for k in x)
     return True, CocycleWitness(group, p, m, b)
 

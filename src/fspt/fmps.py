@@ -33,7 +33,7 @@ from .errors import (
 )
 from .group import FiniteGroup, Z2Hom, validate_hom_z2
 from .invariant import SPTIndex
-from .linalg import TOL, sign_match
+from .linalg import TOL, is_selfadjoint_unitary, sign_match
 from .rep import ProjectiveRep, adjoint_action
 from .fock import subset_parity
 
@@ -132,7 +132,8 @@ def _validate_common(d, v, D):
         D = np.asarray(D, dtype=complex)
         if D.shape != (m, m):
             raise DimensionMismatch(f"D must be {m} x {m}")
-        if np.linalg.norm(D - fixed) > TOL:
+        # a trace-one positive D has no entry above 1
+        if not (np.abs(D).max() <= 1.0 + TOL and np.linalg.norm(D - fixed) <= TOL):
             raise InvalidMPS("D is not the trace-one fixed point of the dual transfer map")
     w = np.linalg.eigvalsh((D + D.conj().T) / 2.0)
     if w.min() <= 1e-12 * w.max():
@@ -151,9 +152,7 @@ def even_mps(d: int, v, theta, D=None) -> FermionicMPS:
     theta = np.asarray(theta, dtype=complex)
     if theta.shape != (m, m):
         raise DimensionMismatch(f"Theta must be {m} x {m}")
-    if np.linalg.norm(theta - theta.conj().T) > TOL * m or np.linalg.norm(
-        theta @ theta - np.eye(m)
-    ) > TOL * m:
+    if not is_selfadjoint_unitary(theta, TOL):
         raise InvalidMPS("Theta must be a self-adjoint unitary")
     sigma0 = None
     parities = [subset_parity(mask) for mask in fock.fock_masks(d)]

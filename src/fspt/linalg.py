@@ -103,7 +103,8 @@ def sign_match(x: np.ndarray, y: np.ndarray, tol: float = TOL) -> int | None:
 
 def is_selfadjoint_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     n = m.shape[0]
-    return (
-        np.linalg.norm(m - m.conj().T) <= tol * n
+    return (  # no entry of a self-adjoint unitary exceeds 1, so m @ m cannot overflow
+        np.abs(m).max(initial=0.0) <= 1.0 + tol * n
+        and np.linalg.norm(m - m.conj().T) <= tol * n
         and np.linalg.norm(m @ m - np.eye(n)) <= tol * n
     )

@@ -36,11 +36,11 @@ class Phase:
 
     @staticmethod
     def one() -> "Phase":
-        return Phase(0, 1)
+        return _ONE
 
     @staticmethod
     def minus_one() -> "Phase":
-        return Phase(1, 2)
+        return _MINUS_ONE
 
     @staticmethod
     def from_complex(z: complex, tol: float = 1e-9) -> "Phase":
@@ -54,13 +54,10 @@ class Phase:
         """Accept a Phase, an int (+1/-1) or a complex number; NotUnitPhase otherwise."""
         if isinstance(value, Phase):
             return value
-        if isinstance(value, int):
-            if value == 1:
-                return Phase.one()
-            if value == -1:
-                return Phase.minus_one()
-        try:
-            return Phase.from_complex(complex(value), tol)
+        if isinstance(value, int) and value in (1, -1):
+            return _ONE if value == 1 else _MINUS_ONE
+        try:  # value + 0 refuses str and bytes, which complex() would parse
+            return Phase.from_complex(complex(value + 0), tol)
         except (TypeError, ValueError, OverflowError):
             raise NotUnitPhase(f"{value!r:.80} is not a number") from None
 
@@ -94,3 +91,6 @@ class Phase:
                 return "Phase(-1)"
             return f"Phase(exp(2pi i {self.k}/{self.N}))"
         return f"Phase({self.z:.6g})"
+
+
+_ONE, _MINUS_ONE = Phase(0, 1), Phase(1, 2)  # frozen, so shared safely

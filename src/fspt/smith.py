@@ -1,10 +1,10 @@
 """Exact congruence solving: A x = c (mod M) by one elimination mod M.
 
-The elimination depends on A and M only; its row steps replay on any c.
-Entries stay symmetric residues mod M, so a product reaches about M^2/4 and
-V @ y sums n terms below M^2.  The arrays are int64 when none of that can
-overflow and Python integers (dtype=object) otherwise; either way the
-arithmetic is exact.  Matrices are small (rows up to |G|^2, columns up to |G|).
+The elimination depends on A and M only; a solve is U c, V y and the test
+A x = c (mod M).  Entries stay symmetric residues mod M: U c sums m products
+of at most M^2/4, every other sum n + 1 terms below M^2.  The arrays are int64
+when none of that can overflow and Python integers (dtype=object) otherwise;
+either way the arithmetic is exact.  Rows are up to |G|^2, columns up to |G|.
 """
 
 from __future__ import annotations
@@ -25,32 +25,25 @@ def _reduce(a: np.ndarray, modulus: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Elimination:
-    """D = U A V mod M, U kept as row steps (t, i, q): swap rows t and t + i,
-    subtract q times row t from the rows below.  g_i = gcd(d_i, M) per row,
-    inv_i = (d_i / g_i)^-1 mod M / g_i; all arrays are read-only."""
+    """D = U A V mod M for an m x n matrix A, k = min(m, n).  Kept: A mod M,
+    the first k rows of U, g_i = gcd(d_i, M), inv_i = (d_i / g_i)^-1 mod
+    M / g_i and the first k columns of V; all arrays are read-only."""
 
     modulus: int
-    steps: tuple[tuple[int, int, np.ndarray], ...]
+    A: np.ndarray
+    U: np.ndarray
     g: np.ndarray
     inv: np.ndarray
     V: np.ndarray
 
     def solve(self, c) -> list[int] | None:
-        """One x with A x = c (mod M), or None: d_i y_i = (U c)_i is solvable iff
-        g_i divides (U c)_i, so (U c)_i = 0 where d_i = 0; then x = V y."""
-        M, k = self.modulus, len(self.inv)
-        uc = np.array(c, dtype=self.V.dtype)
-        _reduce(uc, M)
-        for t, i, q in self.steps:
-            if i:
-                uc[[t, t + i]] = uc[[t + i, t]]
-            uc[t + 1:] -= q * uc[t]
-            _reduce(uc, M)
-        if (uc % self.g).any():
-            return None
-        g = self.g[:k]
-        y = uc[:k] // g * self.inv % (M // g)
-        return ((self.V[:, :k] @ y) % M).tolist()
+        """One x with A x = c (mod M), or None.  If any x exists, g_i | (U c)_i, so
+        y = (U c) / g * inv solves D y = U c and x = V y solves A x = c: that test decides."""
+        M, c = self.modulus, np.array(c, dtype=self.A.dtype)
+        _reduce(c, M)
+        y = (self.U @ c % M) // self.g * self.inv % (M // self.g)
+        x = self.V @ y % M
+        return None if ((self.A @ x - c) % M).any() else x.tolist()
 
 
 def eliminate(A, modulus: int) -> Elimination:
@@ -61,15 +54,16 @@ def eliminate(A, modulus: int) -> Elimination:
     m = len(A)
     n = len(A[0]) if m else 0
     k = min(m, n)
-    dtype = np.int64 if (n + 1) * modulus**2 < 2**63 else object
+    dtype = np.int64 if max(m + 1, 4 * n + 4) * modulus**2 < 2**65 else object
     # [[A], [1]]: row operations act on the top m rows only, column
     # operations on every row, so the bottom block accumulates V
     W = np.zeros((m + n, n), dtype)
     W[:m] = A
     W[m:] = np.eye(n, dtype=dtype)
     _reduce(W, modulus)
+    A = W[:m].copy()
 
-    steps = []
+    steps = []  # (t, i, q): swap rows t and t + i, subtract q times row t below
     for t in range(k):
         while True:
             mag = np.abs(W[t:m, t:n])
@@ -90,13 +84,20 @@ def eliminate(A, modulus: int) -> Elimination:
             if not (W[t + 1:m, t].any() or W[t, t + 1:n].any()):
                 break
 
-    d = W.diagonal()[:k].tolist() + [0] * (m - k)
+    # U's first k rows: [1 0] times the steps transposed, last step first
+    U = np.eye(k, m, dtype=dtype)
+    for t, i, q in reversed(steps):
+        U[:, t] -= U[:, t + 1:] @ q
+        _reduce(U[:, t], modulus)
+        U[:, [t, t + i]] = U[:, [t + i, t]]
+
+    d = W.diagonal()[:k].tolist()
     g = [gcd(di, modulus) for di in d]  # gcd(0, M) = M
     inv = [pow(d[i] // g[i], -1, modulus // g[i]) for i in range(k)]
-    arrays = np.array(g, dtype), np.array(inv, dtype), W[m:].copy()
-    for a in arrays + tuple(q for _, _, q in steps):
+    arrays = A, U, np.array(g, dtype), np.array(inv, dtype), W[m:, :k].copy()
+    for a in arrays:
         a.flags.writeable = False
-    return Elimination(modulus, tuple(steps), *arrays)
+    return Elimination(modulus, *arrays)
 
 
 def solve_congruence(A, c, modulus: int) -> list[int] | None:

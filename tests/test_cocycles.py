@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -28,7 +28,13 @@ from fspt import (
     validate_group,
     validate_hom_z2,
 )
-from fspt.cocycle import TwistedCocycle, _check_order, _coboundary_elimination, _pack
+from fspt.cocycle import (
+    TwistedCocycle,
+    _check_order,
+    _coboundary_elimination,
+    _coboundary_exponents,
+    _pack,
+)
 from fspt.errors import (
     CocycleIdentityFails,
     MismatchedGroup,
@@ -193,7 +199,7 @@ def test_repeated_calls_share_one_unchanged_elimination(rng):
     b = [Phase.one()] + [Phase.exact(int(k), 16) for k in rng.integers(0, 16, 7)]
     u2 = cocycle_product(u1, coboundary(b, group, twist))
     elim = _coboundary_elimination(twist, default_modulus(u1, u2))
-    arrays = [elim.g, elim.inv, elim.V] + [q for _, _, q in elim.steps]
+    arrays = [elim.A, elim.U, elim.g, elim.inv, elim.V]
     before = [a.copy() for a in arrays]
     witnesses = []
     for _ in range(3):
@@ -205,6 +211,86 @@ def test_repeated_calls_share_one_unchanged_elimination(rng):
         witnesses.append(w.b)
     assert witnesses[0] == witnesses[1] == witnesses[2]
     assert all(not a.flags.writeable and np.array_equal(a, c) for a, c in zip(arrays, before))
+
+
+def _reference_solve(A, c, M):
+    """The step-by-step solve the cached elimination replaced: record the row
+    steps of D = U A V mod M, replay them on c, test g_i | (U c)_i, x = V y."""
+
+    def reduce(a):
+        a[...] = (a + (M - 1) // 2) % M - (M - 1) // 2
+
+    m, n = A.shape
+    k = min(m, n)
+    W = np.zeros((m + n, n), np.int64)
+    W[:m], W[m:] = A, np.eye(n, dtype=np.int64)
+    reduce(W)
+    steps = []
+    for t in range(k):
+        while True:
+            mag = np.abs(W[t:m, t:n])
+            mag = np.where(mag, mag, M)
+            i, j = divmod(int(mag.argmin()), n - t)
+            if mag[i, j] == M:
+                break
+            if i:
+                W[[t, t + i]] = W[[t + i, t]]
+            if j:
+                W[:, [t, t + j]] = W[:, [t + j, t]]
+            p = W[t, t]
+            q = W[t + 1:m, t] // p
+            W[t + 1:m] -= np.outer(q, W[t])
+            W[:, t + 1:n] -= np.outer(W[:, t], W[t, t + 1:n] // p)
+            reduce(W)
+            steps.append((t, i, q))
+            if not (W[t + 1:m, t].any() or W[t, t + 1:n].any()):
+                break
+    d = W.diagonal()[:k].tolist() + [0] * (m - k)
+    g = [gcd(di, M) for di in d]
+    inv = np.array([pow(d[i] // g[i], -1, M // g[i]) for i in range(k)])
+    g = np.array(g)
+    uc = np.array(c, dtype=np.int64)
+    reduce(uc)
+    for t, i, q in steps:
+        if i:
+            uc[[t, t + i]] = uc[[t + i, t]]
+        uc[t + 1:] -= q * uc[t]
+        reduce(uc)
+    if (uc % g).any():
+        return None
+    y = uc[:k] // g[:k] * inv % (M // g[:k])
+    return ((W[m:, :k] @ y) % M).tolist()
+
+
+# the groups of the benchmark's cohomology workload, order 2 to 16
+COHOMOLOGY_GROUPS = [
+    cyclic(2), cyclic(3), cyclic(4), klein(), cyclic(6), dihedral(3), cyclic(8),
+    direct_product(cyclic(2), cyclic(4)), direct_product(klein(), cyclic(2)),
+    dihedral(4), quaternion8(), dihedral(6), dihedral(8),
+    direct_product(cyclic(4), cyclic(4)),
+]
+
+
+@pytest.mark.parametrize("group", COHOMOLOGY_GROUPS, ids=lambda g: f"order{g.n}")
+def test_cached_solve_matches_step_by_step_reference(group, rng):
+    """Same verdict and witness as the step-by-step solve, under every twist,
+    on coboundary and on generic (mostly non-coboundary) right-hand sides."""
+    n, M = group.n, 4 * group.n
+    verdicts = set()
+    for twist in all_z2_homs(group):
+        elim = _coboundary_elimination(twist, M)
+        A = _coboundary_exponents(np.eye(n, dtype=np.int64), group, twist).reshape(n * n, n)
+        homs = all_z2_homs(group)
+        for _ in range(4):
+            b = rng.integers(0, M, n)
+            b[group.identity] = 0
+            q1, q2 = (homs[i] for i in rng.integers(len(homs), size=2))
+            sign = np.outer(q1.values, q2.values) % 2 * (M // 2)
+            for c in (A @ b % M, (A @ b + sign.ravel()) % M, rng.integers(0, M, n * n)):
+                x = elim.solve(c)
+                assert x == _reference_solve(A, c, M)
+                verdicts.add(x is not None)
+    assert verdicts == {True, False}
 
 
 def test_pauli_class_not_trivial_modulus8():
@@ -463,13 +549,15 @@ def test_pack_refuses_a_table_of_another_shape(values):
 
 
 @pytest.mark.parametrize(
-    "entry", [None, [1], "x", {}, 10**400], ids=["none", "list", "letter", "dict", "beyond-float"]
+    "entry",
+    [None, [1], "x", "-1", b"-1", {}, 10**400],
+    ids=["none", "list", "letter", "numeric-string", "bytes", "dict", "beyond-float"],
 )
 def test_pack_refuses_an_entry_that_is_no_number(entry):
     table = [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, -1, entry], [1, 1, 1, 1]]
-    with pytest.raises(NotUnitPhase):
+    with pytest.raises(NotUnitPhase, match="is not a number"):
         validate_cocycle(V4, trivial_hom(V4), table)
-    with pytest.raises(NotUnitPhase):
+    with pytest.raises(NotUnitPhase, match="is not a number"):
         coboundary([1, 1, entry, 1], V4, trivial_hom(V4))
 
 

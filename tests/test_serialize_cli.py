@@ -242,6 +242,18 @@ def _huge_action_entry(data):
     data["action"][1]["matrix"][0][1] = [1e200, 0]
 
 
+def _huge_theta_entry(data):
+    data["Theta"][0][0] = [1e200, 0]
+
+
+def _huge_d_entry(data):
+    data["D"][0][0] = [1e200, 0]
+
+
+def _huge_gamma_entry(data):
+    data["gamma"][0][0] = [1e200, 0]
+
+
 def _flag_not_an_integer(data):
     data["U"][1]["flag"] = "yes"
 
@@ -339,6 +351,9 @@ _INPUTS = {
         ("fmps-validate", _even_sigma0_not_the_offset, "InvalidMPS"),
         ("fmps-validate", _huge_v_entry, "InvalidMPS"),
         ("index", _huge_action_entry, "NotUnitary"),
+        ("fmps-validate", _huge_theta_entry, "InvalidMPS"),
+        ("fmps-validate", _huge_d_entry, "InvalidMPS"),
+        ("index", _huge_gamma_entry, "InvalidSystem"),
         ("fmps-validate", _bond_size_mismatch, "DimensionMismatch"),
         ("fmps-validate", _no_kind, "InvalidMPS"),
         ("fmps-symmetry", _flag_not_an_integer, "InvalidSystem"),
@@ -373,7 +388,7 @@ _INPUTS = {
 def test_malformed_input_gives_an_error_token(command, mutate, token, tmp_path, capsys):
     """Malformed matrices, generator lists, integer fields, group tables, twists,
     phases and MPS bond matrices exit 1 with a JSON error token, and a malformed
-    --word exits 2, never with a Python traceback."""
+    --word exits 2, never with a Python traceback or an overflow warning."""
     files = [build() for build in _INPUTS[command]]
     extra = ["--word", mutate] if command == "fmps-expect" else []
     if not extra:
