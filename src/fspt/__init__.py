@@ -33,7 +33,7 @@ from .cocycle import (
     trivial_cocycle,
     validate_cocycle,
 )
-from .rep import ProjectiveRep, adjoint_action, pair
+from .rep import ProjectiveRep, pair
 from .algebra import (
     OperatorAlgebra,
     algebra_closure,

@@ -151,10 +151,7 @@ def _cmd_fmps_expect(args) -> dict:
     value = expectation(mps, args.word)
     return {
         "word": [[mu, nu] for mu, nu in args.word],
-        "value": {
-            "re": serialize.round_sig(value.real),
-            "im": serialize.round_sig(value.imag),
-        },
+        "value": serialize.complex_to_json(value),
     }
 
 
@@ -185,10 +182,7 @@ def _cmd_fmps_symmetry(args) -> dict:
     sym = serialize.symmetry_from_json(_load(args.infile2))
     phases = check_symmetry(mps, sym)
     out = {
-        "c": [
-            {"re": serialize.round_sig(c.real), "im": serialize.round_sig(c.imag)}
-            for c in phases.c
-        ],
+        "c": [serialize.complex_to_json(c) for c in phases.c],
         "residuals": [serialize.round_sig(float(r)) for r in phases.residuals],
     }
     if phases.q is not None:

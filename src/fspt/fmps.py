@@ -24,6 +24,7 @@ from .cocycle import det_gauge_class
 from .errors import (
     DegenerateFixedPoint,
     DimensionMismatch,
+    GroupMismatch,
     IndexOutOfRange,
     InvalidMPS,
     NoConsistentQ,
@@ -33,8 +34,8 @@ from .errors import (
 )
 from .group import FiniteGroup, Z2Hom, validate_hom_z2
 from .invariant import SPTIndex
-from .linalg import TOL, is_selfadjoint_unitary, sign_match
-from .rep import ProjectiveRep, adjoint_action
+from .linalg import TOL, is_selfadjoint_unitary, kron, sign_match
+from .rep import ProjectiveRep
 from .fock import subset_parity
 
 _SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -154,22 +155,18 @@ def even_mps(d: int, v, theta, D=None) -> FermionicMPS:
         raise DimensionMismatch(f"Theta must be {m} x {m}")
     if not is_selfadjoint_unitary(theta, TOL):
         raise InvalidMPS("Theta must be a self-adjoint unitary")
-    sigma0 = None
-    parities = [subset_parity(mask) for mask in fock.fock_masks(d)]
+    offsets = set()  # (Theta-degree + |mu|) mod 2 of each nonzero v_mu: one value, sigma0
     for mask, a in enumerate(v):
         if np.linalg.norm(a) <= TOL:
             continue
-        s = sign_match(theta @ a @ theta, a)
-        if s is None:
+        if (s := sign_match(theta @ a @ theta, a)) is None:
             raise InvalidMPS(f"v[{mask}] is not homogeneous under Ad_Theta")
-        offset = (s + parities[mask]) % 2
-        if sigma0 is None:
-            sigma0 = offset
-        elif sigma0 != offset:
+        offsets.add((s + subset_parity(mask)) % 2)
+        if len(offsets) > 1:
             raise InvalidMPS("no single parity offset sigma0 fits all v_mu")
     if np.linalg.norm(theta @ D @ theta - D) > TOL:
         raise InvalidMPS("D must commute with Theta")
-    return FermionicMPS("even", d, m, v, D, theta, sigma0 or 0)
+    return FermionicMPS("even", d, m, v, D, theta, min(offsets, default=0))
 
 
 def odd_mps(d: int, v, sigma0: int, D=None) -> FermionicMPS:
@@ -180,11 +177,8 @@ def odd_mps(d: int, v, sigma0: int, D=None) -> FermionicMPS:
 
 def hatted_v(mps: FermionicMPS) -> np.ndarray:
     """Odd-kind doubled matrices v_mu (x) sigma_z^(sigma0 + |mu|)."""
-    out = []
-    for mask, a in enumerate(mps.v):
-        power = (mps.sigma0 + subset_parity(mask)) % 2
-        out.append(np.kron(a, _SZ if power else np.eye(2, dtype=complex)))
-    return np.stack(out)
+    odd = (mps.sigma0 + mps.site_parities())[:, None, None] % 2 == 1
+    return kron(mps.v, np.where(odd, _SZ, np.eye(2, dtype=complex)))
 
 
 def transfer_apply(mps: FermionicMPS, x: np.ndarray) -> np.ndarray:
@@ -282,10 +276,14 @@ def density_matrix(mps: FermionicMPS, l: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OnSiteSymmetry:
-    """On-site one-particle action U and bond action W of a finite group."""
+    """On-site one-particle action U and bond action W of one (G, p)."""
 
     rep_site: ProjectiveRep   # d x d one-particle (anti-)unitaries
     rep_bond: ProjectiveRep   # m x m bond (anti-)unitaries
+
+    def __post_init__(self):
+        if not self.rep_site.twist.same_as(self.rep_bond.twist):
+            raise GroupMismatch("site and bond actions live on different (G, p)")
 
     @property
     def group(self) -> FiniteGroup:
@@ -305,47 +303,43 @@ class SymmetryPhases:
     q: Z2Hom | None          # odd kind: the parity sign of each fit
 
 
-def _covariance_sides(mps, sym, g):
-    """(sum_mu F[mu,nu] v_mu, W_g v_nu W_g^-1) over all nu, F the Fock lift of U_g."""
-    fmat, _ = fock.second_quantize(sym.rep_site.op(g)[0], sym.twist(g))
-    lhs = np.einsum("mn,mij->nij", fmat, mps.v)
-    return lhs, np.stack([adjoint_action(sym.rep_bond.op(g), a) for a in mps.v])
+def _fit_phases(lhs, rhs):
+    """Least-squares c_g in lhs[g] = c_g rhs[g] for every g, with the relative residuals.
 
-
-def _fit_phase(lhs, rhs):
-    """Least-squares c_g in lhs = c_g rhs, with the relative residual."""
-    denom = np.vdot(rhs, rhs)
-    c = np.vdot(rhs, lhs) / denom if abs(denom) > 0 else 0.0
-    resid = np.linalg.norm(lhs - c * rhs) / max(1.0, np.linalg.norm(lhs))
-    return complex(c), float(resid)
+    Each sum is one BLAS dot per g, so it adds up as np.vdot and np.linalg.norm do."""
+    lhs, rhs = lhs.reshape(len(lhs), 1, -1), rhs.reshape(len(rhs), 1, -1)
+    dot = lambda a, b: (a @ b.swapaxes(1, 2))[:, 0, 0]
+    norm = lambda x: np.sqrt(dot(x.real, x.real) + dot(x.imag, x.imag))
+    denom = dot(rhs.conj(), rhs)
+    c = np.divide(dot(rhs.conj(), lhs), denom, out=np.zeros_like(denom), where=np.abs(denom) > 0)
+    return c, norm(lhs - c[:, None, None] * rhs) / np.maximum(1.0, norm(lhs))
 
 
 def check_symmetry(mps: FermionicMPS, sym: OnSiteSymmetry) -> SymmetryPhases:
     """Extract the phases c_g; for the odd kind also the character q.
 
-    Each g is fitted unsigned first and, for the odd kind, then with the
-    parity sign (-1)^|nu|; q(g) is 1 where only the signed fit holds.
-    Raises SymmetryViolated (even kind) or NoConsistentQ (odd kind) when
-    neither fits within tolerance.
+    All g are fitted at once, unsigned first and, for the odd kind, then with
+    the parity sign (-1)^|nu|; q(g) is 1 where only the signed fit holds.
+    Raises SymmetryViolated (even kind) at the first g, or NoConsistentQ (odd
+    kind), when neither fits within tolerance.
     """
     if sym.rep_site.dim != mps.d or sym.rep_bond.dim != mps.m:
         raise DimensionMismatch("symmetry dimensions do not match the MPS")
-    signs = np.where(mps.site_parities() % 2, -1.0, 1.0)[:, None, None]
-    cs, resids, qs = [], [], []
-    for g in sym.group.elements():
-        lhs, rhs = _covariance_sides(mps, sym, g)
-        (c, resid), sign = _fit_phase(lhs, rhs), 0
-        if mps.kind == "odd" and resid > TOL:
-            (c, resid), sign = _fit_phase(lhs * signs, rhs), 1
-        if resid > TOL:
-            if mps.kind == "odd":
-                raise NoConsistentQ("no parity character satisfies the covariance relation")
-            raise SymmetryViolated(f"covariance fails at group element {g}: residual {resid:.3e}")
-        cs.append(c)
-        resids.append(resid)
-        qs.append(sign)
-    q = validate_hom_z2(sym.group, qs) if mps.kind == "odd" else None
-    return SymmetryPhases(np.array(cs), np.array(resids), q)
+    lift, _ = fock.second_quantize(sym.rep_site.mats)  # F_g, the Fock lift of U_g
+    lhs = np.einsum("gmn,mij->gnij", lift, mps.v)  # sum_mu F_g[mu, nu] v_mu
+    rhs = sym.rep_bond.act_all(mps.v)  # W_g v_nu W_g^-1
+    c, resid = _fit_phases(lhs, rhs)
+    if (signed := (resid > TOL) & (mps.kind == "odd")).any():
+        signs = np.where(mps.site_parities() % 2, -1.0, 1.0)[:, None, None]
+        c_signed, resid_signed = _fit_phases(lhs * signs, rhs)
+        c, resid = np.where(signed, c_signed, c), np.where(signed, resid_signed, resid)
+    if (bad := resid > TOL).any():
+        if mps.kind == "odd":
+            raise NoConsistentQ("no parity character satisfies the covariance relation")
+        g = int(np.argmax(bad))
+        raise SymmetryViolated(f"covariance fails at group element {g}: residual {resid[g]:.3e}")
+    q = validate_hom_z2(sym.group, signed.astype(int).tolist()) if mps.kind == "odd" else None
+    return SymmetryPhases(c, resid, q)
 
 
 def fmps_index(mps: FermionicMPS, sym: OnSiteSymmetry) -> SPTIndex:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IndexOutOfRange, NotUnitary
-from .rep import Pair
 
 
 def subset_parity(mask: int) -> int:
@@ -30,28 +29,29 @@ def parity_operator(d: int) -> np.ndarray:
     return np.diag(np.array(signs, dtype=complex))
 
 
-def second_quantize(u: np.ndarray, flag: int = 0) -> Pair:
-    """Lift a d x d (anti-)unitary to the 2^d-dimensional Fock space.
+def second_quantize(u: np.ndarray, flag: int = 0) -> tuple[np.ndarray, int]:
+    """Lift d x d (anti-)unitaries, over any leading axes, to the 2^d-dimensional Fock space.
 
     Entry (mu, nu) is det(u[mu, nu]) when #mu = #nu and zero otherwise; the
-    minors of each particle number k come from one batched determinant.
-    The flag passes through: for flag 1, the returned pair means the minor
-    matrix composed with entrywise conjugation in the Fock basis.
+    minors of each particle number k, of all u, come from one batched
+    determinant.  The flag passes through: for flag 1, the returned pair means
+    the minor matrix composed with entrywise conjugation in the Fock basis.
     """
     u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    if u.shape != (d, d):
-        raise NotUnitary(f"expected a square matrix, got {u.shape}")
-    if np.linalg.norm(u @ u.conj().T - np.eye(d)) > 1e-9 * max(1, d):
+    d = u.shape[-1]
+    if u.ndim < 2 or u.shape[-2] != d:
+        raise NotUnitary(f"expected square matrices, got {u.shape}")
+    gram = u @ u.conj().swapaxes(-1, -2) - np.eye(d)
+    if not (np.linalg.norm(gram, axis=(-2, -1)) <= 1e-9 * max(1, d)).all():
         raise NotUnitary("one-particle map is not unitary within tolerance")
     bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1  # bits[mask, mode]
-    out = np.zeros((1 << d, 1 << d), dtype=complex)
+    out = np.zeros(u.shape[:-2] + (1 << d, 1 << d), dtype=complex)
     for k in range(d + 1):
         masks = np.flatnonzero(bits.sum(axis=1) == k)
         modes = np.nonzero(bits[masks])[1].reshape(len(masks), k)  # increasing per mask
-        # minors[a, b] = u[modes[a]][:, modes[b]]; the 0 x 0 minor has determinant 1
-        minors = u[modes[:, None, :, None], modes[None, :, None, :]]
-        out[np.ix_(masks, masks)] = np.linalg.det(minors)
+        # minors[..., a, b] = u[..., modes[a]][..., modes[b]]; a 0 x 0 minor has determinant 1
+        minors = u[..., modes[:, None, :, None], modes[None, :, None, :]]
+        out[(...,) + np.ix_(masks, masks)] = np.linalg.det(minors)
     return out, int(flag) % 2
 
 

@@ -59,12 +59,6 @@ def residual_norms(basis_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.linalg.norm(rows - (rows @ basis_rows.conj().T) @ basis_rows, axis=-1)
 
 
-def in_span(basis_rows: np.ndarray, mat: np.ndarray, tol: float = TOL) -> bool:
-    row = vec(mat)
-    scale = max(1.0, np.linalg.norm(row))
-    return residual_norms(basis_rows, row)[0] <= tol * scale
-
-
 def nullspace_rows(stacked: np.ndarray) -> np.ndarray:
     """Rows r with stacked @ r = 0, spanning the right nullspace.
 

@@ -1,16 +1,14 @@
 """Projective unitary/anti-unitary representations.
 
-An operator is stored as a pair ``(matrix, flag)``: the linear part in the
-standard basis, and flag 1 when the operator carries a complex conjugation
-on the right (so the operator is M composed with entrywise conjugation).
-All composition rules below follow from K M = conj(M) K.  A representation
-also stacks its matrices into one (|G|, n, n) array and answers each
-per-element question (unitarity, action, sign character) in one batched call.
+The operator V_g is M_g composed with entrywise complex conjugation where
+the twist has p(g) = 1; all composition rules below follow from
+K M = conj(M) K.  A representation holds only the stacked linear parts
+M_g, one (|G|, n, n) array, and answers each per-element question
+(unitarity, action, sign character) in one batched call.  Input given as
+(matrix, flag) pairs is checked against the twist and then stacked.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,61 +16,50 @@ from .errors import GradingActionIndeterminate, InvalidSystem, NotUnitary
 from .group import FiniteGroup, Z2Hom
 from .linalg import TOL
 
-Pair = tuple[np.ndarray, int]
+
+def pair(matrix, flag: int = 0) -> tuple[np.ndarray, int]:
+    return np.asarray(matrix, dtype=complex), int(flag)
 
 
-def pair(matrix, flag: int = 0) -> Pair:
-    return np.asarray(matrix, dtype=complex), int(flag) % 2
-
-
-def adjoint_action(a: Pair, x: np.ndarray) -> np.ndarray:
-    """V x V^-1 for unitary/anti-unitary V; equals M conj^f(x) M^dag."""
-    ma, fa = a
-    return ma @ (np.conj(x) if fa else x) @ ma.conj().T
-
-
-@dataclass(frozen=True, eq=False)
 class ProjectiveRep:
-    """g -> (matrix, flag), flags given by the twist p: G -> Z2; ``mats`` stacks them."""
+    """g -> M_g conj^p(g), p the twist; ``mats`` stacks the M_g."""
 
-    group: FiniteGroup
-    twist: Z2Hom
-    ops: tuple[Pair, ...]
-    mats: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.ops) != self.group.n:
-            raise InvalidSystem(f"need {self.group.n} operators, got {len(self.ops)}")
-        dim = self.ops[0][0].shape[0]
-        for g, (m, f) in enumerate(self.ops):
+    def __init__(self, group: FiniteGroup, twist: Z2Hom, pairs):
+        """From one (matrix, flag) pair per element, each flag the twist's."""
+        if len(pairs) != group.n:
+            raise InvalidSystem(f"need {group.n} operators, got {len(pairs)}")
+        dim = pairs[0][0].shape[0]
+        for g, (m, f) in enumerate(pairs):
             if m.shape != (dim, dim):
                 raise InvalidSystem(f"operator {g} has shape {m.shape}")
-            if f != self.twist(g):
-                raise InvalidSystem(f"flag of operator {g} is {f}, twist demands {self.twist(g)}")
-        mats = np.stack([np.asarray(m, dtype=complex) for m, _ in self.ops])
+            if f != twist(g):
+                raise InvalidSystem(f"flag of operator {g} is {f}, twist demands {twist(g)}")
+        self._hold(group, twist, np.stack([np.asarray(m, dtype=complex) for m, _ in pairs]))
+
+    @classmethod
+    def build(cls, group: FiniteGroup, twist: Z2Hom, stack) -> "ProjectiveRep":
+        """From the (|G|, n, n) stack of the M_g; the flags are the twist's."""
+        rep = cls.__new__(cls)
+        rep._hold(group, twist, np.array(stack, dtype=complex))
+        return rep
+
+    def _hold(self, group: FiniteGroup, twist: Z2Hom, mats: np.ndarray):
+        """Keep the stack once every M_g is unitary and M at the identity is 1."""
+        dim = mats.shape[-1]
+        if mats.shape != (group.n, dim, dim):
+            raise InvalidSystem(f"need {group.n} operators, got an array of shape {mats.shape}")
         # an entry beyond modulus 1 + 1e-9 dim breaks M M^dag = 1 and could overflow it: M -> 0
         small = np.where((np.abs(mats) <= 1 + 1e-9 * dim).all(axis=(1, 2), keepdims=True), mats, 0)
         gram = small @ small.conj().swapaxes(-1, -2) - np.eye(dim)
         if (bad := ~(np.linalg.norm(gram, axis=(-2, -1)) <= 1e-9 * dim)).any():
             raise NotUnitary(f"operator {int(np.argmax(bad))} is not unitary within 1e-9")
-        if np.linalg.norm(mats[self.group.identity] - np.eye(dim)) > 1e-8 * dim:
+        if np.linalg.norm(mats[group.identity] - np.eye(dim)) > 1e-8 * dim:
             raise InvalidSystem("operator at the identity must be the identity")
-        object.__setattr__(self, "mats", mats)
-
-    @staticmethod
-    def build(group: FiniteGroup, twist: Z2Hom, matrices) -> "ProjectiveRep":
-        ops = tuple(pair(m, twist(g)) for g, m in enumerate(matrices))
-        return ProjectiveRep(group, twist, ops)
+        self.group, self.twist, self.mats = group, twist, mats
 
     @property
     def dim(self) -> int:
         return self.mats.shape[-1]
-
-    def op(self, g: int) -> Pair:
-        return self.ops[g]
-
-    def act(self, g: int, x: np.ndarray) -> np.ndarray:
-        return adjoint_action(self.ops[g], x)
 
     def act_all(self, x: np.ndarray) -> np.ndarray:
         """V_g conj^p(g)(x) V_g^dag for every g: shape (|G|,) + x.shape, x may have leading axes."""

@@ -69,6 +69,10 @@ def round_sig(x: float, digits: int = 12) -> float:
     return float(f"{x:.{digits}g}")
 
 
+def complex_to_json(z: complex) -> dict:
+    return {"re": round_sig(z.real), "im": round_sig(z.imag)}
+
+
 def matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
     return [[[round_sig(v.real), round_sig(v.imag)] for v in row] for row in m]
@@ -89,7 +93,7 @@ def matrix_from_json(data) -> np.ndarray:
 def phase_to_json(p: Phase) -> dict:
     if p.is_exact:
         return {"k": p.k, "N": p.N}
-    return {"re": round_sig(p.value.real), "im": round_sig(p.value.imag)}
+    return complex_to_json(p.value)
 
 
 def phase_from_json(data) -> Phase:
@@ -137,14 +141,17 @@ def cocycle_from_json(data) -> TwistedCocycle:
 
 
 def rep_to_json(rep: ProjectiveRep) -> list:
-    return [{"matrix": matrix_to_json(m), "flag": f} for (m, f) in rep.ops]
+    return [{"matrix": matrix_to_json(m), "flag": rep.twist(g)} for g, m in enumerate(rep.mats)]
 
 
 def rep_from_json(group: FiniteGroup, twist: Z2Hom, data) -> ProjectiveRep:
-    ops = Field(data).items(size=group.n)
-    return ProjectiveRep(group, twist, tuple(
-        pair(matrix_from_json(op["matrix"]), op.get("flag", twist(g)).integer())
-        for g, op in enumerate(ops)))
+    pairs = []
+    for g, op in enumerate(Field(data).items(size=group.n)):
+        matrix, flag = matrix_from_json(op["matrix"]), op.get("flag", twist(g))
+        if flag.integer() not in (0, 1):
+            raise flag.wrong("0 or 1")
+        pairs.append(pair(matrix, flag.value))
+    return ProjectiveRep(group, twist, pairs)
 
 
 def system_to_json(sys: GradedSystem) -> dict:

@@ -18,6 +18,7 @@ from fspt import (
     trivial_hom,
     validate_hom_z2,
 )
+from fspt.linalg import TOL, residual_norms, vec
 from fspt.rep import pair
 
 I2 = np.eye(2, dtype=complex)
@@ -31,6 +32,17 @@ def random_unitary(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def in_span(basis_rows, mat, tol=TOL):
+    """mat lies in the span of the orthonormal rows, relative to max(1, |mat|)."""
+    row = vec(mat)
+    return residual_norms(basis_rows, row)[0] <= tol * max(1.0, np.linalg.norm(row))
+
+
+def adjoint_action(mat, flag, x):
+    """V x V^-1 for one V = mat conj^flag: mat conj^flag(x) mat^dag, the reference for act_all."""
+    return mat @ (np.conj(x) if flag else x) @ mat.conj().T
 
 
 def per_element_implementer(v, op, flag=0):

@@ -44,7 +44,7 @@ from fspt.algebra import algebra_closure, graded_tensor
 from fspt.cocycle import GAUGE_SNAP_TOL, SNAP_TOL
 from fspt.errors import SymmetryViolated
 from fspt.invariant import Z8_GENERATOR, Z8_IDENTITY
-from fspt.linalg import RANK_RTOL, TOL, in_span, nullspace_rows, onb_rows, vec
+from fspt.linalg import RANK_RTOL, TOL, nullspace_rows, onb_rows, vec
 from fspt.rep import pair
 from conftest import (
     I2,
@@ -55,6 +55,7 @@ from conftest import (
     even_d2_symmetry,
     even_mps_d1,
     even_mps_d2,
+    in_span,
     majorana_mps,
     majorana_symmetry,
     random_unitary,

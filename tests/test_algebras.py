@@ -23,9 +23,17 @@ from fspt.errors import (
     DimensionTooLarge,
     NotGraded,
 )
-from fspt.linalg import in_span, is_selfadjoint_unitary, nullspace_rows, onb_rows, unvec, vec
+from fspt.linalg import is_selfadjoint_unitary, nullspace_rows, onb_rows, unvec, vec
 from fspt.algebra import implementers
-from conftest import I2, SX, SZ, per_element_implementer, random_unitary, twisted_klein_grid
+from conftest import (
+    I2,
+    SX,
+    SZ,
+    in_span,
+    per_element_implementer,
+    random_unitary,
+    twisted_klein_grid,
+)
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 

@@ -31,17 +31,20 @@ from fspt.cocycle import cocycle_of_rep
 from fspt.errors import (
     DegenerateFixedPoint,
     DimensionMismatch,
+    GroupMismatch,
     InvalidMPS,
+    NoConsistentQ,
     SizeTooLarge,
     SymmetryViolated,
 )
 from fspt.fmps import RHO_BYTE_BUDGET, hatted_v, transfer_matrix
-from fspt.rep import pair
+from fspt.linalg import TOL
 from conftest import (
     I2,
     SX,
     SY,
     SZ,
+    adjoint_action,
     even_d1_symmetry,
     even_d2_symmetry,
     even_mps_d1,
@@ -369,9 +372,9 @@ def exhaustive_q(mps, sym):
     for q in all_z2_homs(sym.group):
         fits = True
         for g in sym.group.elements():
-            f, _ = second_quantize(sym.rep_site.op(g)[0])
+            f, _ = second_quantize(sym.rep_site.mats[g])
             lhs = np.einsum("mn,mij->nij", f, mps.v) * (parity ** q(g))[:, None, None]
-            rhs = np.stack([sym.rep_bond.act(g, a) for a in mps.v])
+            rhs = adjoint_action(sym.rep_bond.mats[g], sym.twist(g), mps.v)
             c = np.vdot(rhs, lhs) / np.vdot(rhs, rhs)
             fits = fits and np.linalg.norm(lhs - c * rhs) <= 1e-8 * max(1.0, np.linalg.norm(lhs))
         if fits:
@@ -395,8 +398,6 @@ def test_check_symmetry_reads_q_per_element_majorana_v4():
 
 
 def test_check_symmetry_no_consistent_q():
-    from fspt.errors import NoConsistentQ
-
     mps = majorana_mps(0)
     z2 = cyclic(2)
     p = trivial_hom(z2)
@@ -423,6 +424,121 @@ def test_check_symmetry_sensitivity():
     assert float(str(err.value).split("residual ")[1]) > 1e-4
 
 
+def _fit_phase(lhs, rhs):
+    """Least-squares c in lhs = c rhs, with the relative residual."""
+    denom = np.vdot(rhs, rhs)
+    c = np.vdot(rhs, lhs) / denom if abs(denom) > 0 else 0.0
+    return complex(c), float(np.linalg.norm(lhs - c * rhs) / max(1.0, np.linalg.norm(lhs)))
+
+
+def per_element_symmetry_fit(mps, sym):
+    """The fit check_symmetry batches, one g at a time: (c, residuals, q) or, at
+    the first g that fits neither unsigned nor (odd kind) signed, the error."""
+    signs = np.where(mps.site_parities() % 2, -1.0, 1.0)[:, None, None]
+    cs, resids, qs = [], [], []
+    for g in sym.group.elements():
+        f, _ = second_quantize(sym.rep_site.mats[g])
+        lhs = np.einsum("mn,mij->nij", f, mps.v)
+        rhs = np.stack([adjoint_action(sym.rep_bond.mats[g], sym.twist(g), a) for a in mps.v])
+        (c, resid), sign = _fit_phase(lhs, rhs), 0
+        if mps.kind == "odd" and resid > TOL:
+            (c, resid), sign = _fit_phase(lhs * signs, rhs), 1
+        if resid > TOL:
+            if mps.kind == "odd":
+                return NoConsistentQ("no parity character satisfies the covariance relation")
+            return SymmetryViolated(f"covariance fails at group element {g}: residual {resid:.3e}")
+        cs.append(c)
+        resids.append(resid)
+        qs.append(sign)
+    return np.array(cs), np.array(resids), qs
+
+
+def random_time_reversal_case(kind, d, m, rng, planted=()):
+    """A random state symmetric under V4 = {1, P, T, PT}, T and PT anti-unitary.
+
+    Real bond matrices in a random bond basis X: P acts as -1 on the site and
+    by the grading (even kind) or 1 (odd kind) on the bond, T as 1 on the site
+    and by X X^t on the bond.  Each g in ``planted`` gets a bond operator
+    that breaks covariance.
+    """
+    v4 = klein()
+    p = validate_hom_z2(v4, [0, 0, 1, 1])
+    x = random_unitary(m, rng)
+    signs = np.where(np.arange(m) < rng.integers(1, m), 1.0, -1.0)
+    same = np.equal.outer(signs, signs)
+    sigma0 = int(rng.integers(2))
+    v = rng.standard_normal((1 << d, m, m))
+    if kind == "even":
+        v = np.stack([a * (same if (bin(mask).count("1") + sigma0) % 2 == 0 else ~same)
+                      for mask, a in enumerate(v)])
+    v = np.stack([x @ a @ x.conj().T for a in _normalized(v)])
+    theta = x @ np.diag(signs) @ x.conj().T
+    mps = even_mps(d, v, theta) if kind == "even" else odd_mps(d, v, sigma0)
+    grading = theta if kind == "even" else np.eye(m)
+    bond = [np.eye(m), grading, x @ x.T, grading @ x @ x.T]
+    for g in planted:
+        bond[g] = bond[g] @ random_unitary(m, rng)
+    site = ProjectiveRep.build(v4, p, [np.eye(d), -np.eye(d), np.eye(d), -np.eye(d)])
+    return mps, OnSiteSymmetry(site, ProjectiveRep.build(v4, p, bond))
+
+
+def z2_parity_symmetry(mps):
+    """Fermion parity: -1 on the site; the grading (even kind) or 1 (odd kind) on the bond."""
+    z2 = cyclic(2)
+    p = trivial_hom(z2)
+    bond = mps.theta if mps.kind == "even" else np.eye(mps.m)
+    site = ProjectiveRep.build(z2, p, [np.eye(mps.d), -np.eye(mps.d)])
+    return OnSiteSymmetry(site, ProjectiveRep.build(z2, p, [np.eye(mps.m), bond]))
+
+
+def _symmetry_cases():
+    yield majorana_mps(0), majorana_symmetry()
+    yield majorana_mps(1), majorana_symmetry()
+    yield even_mps_d1(), even_d1_symmetry()
+    yield even_mps_d2(), even_d2_symmetry()
+    rng = np.random.default_rng(8)
+    for kind, d, m in itertools.product(("even", "odd"), (1, 2), (2, 3)):
+        yield random_time_reversal_case(kind, d, m, rng)
+        mps = (random_even_mps if kind == "even" else random_odd_mps)(d, m, d % 2, rng)
+        yield mps, z2_parity_symmetry(mps)
+
+
+def test_check_symmetry_matches_the_per_element_fit():
+    for mps, sym in _symmetry_cases():
+        c, resid, q = per_element_symmetry_fit(mps, sym)
+        phases = check_symmetry(mps, sym)
+        assert np.allclose(phases.c, c, rtol=0, atol=1e-12)
+        assert np.allclose(phases.residuals, resid, rtol=0, atol=1e-12)
+        assert (phases.q is None) == (mps.kind == "even")
+        assert mps.kind == "even" or list(phases.q.values) == q
+
+
+@pytest.mark.parametrize("kind", ["even", "odd"])
+@pytest.mark.parametrize("planted", [(3,), (1, 3), (2, 3)])
+def test_check_symmetry_names_the_first_failing_element(kind, planted):
+    """A fault planted at the last g, or at two g's, raises what the per-element
+    loop raises at the first of them; the even kind's message names that g."""
+    mps, sym = random_time_reversal_case(kind, 2, 3, np.random.default_rng(9), planted)
+    want = per_element_symmetry_fit(mps, sym)
+    with pytest.raises((SymmetryViolated, NoConsistentQ)) as info:
+        check_symmetry(mps, sym)
+    assert type(info.value) is type(want) and str(info.value) == str(want)
+    if kind == "even":
+        assert f"at group element {planted[0]}:" in str(info.value)
+
+
+def test_on_site_symmetry_needs_one_group_and_twist():
+    """Site and bond actions of another (G, p) raise GroupMismatch: a time-reversal
+    bond on a Z2-parity site, and a Klein bond on a Z2 site."""
+    site = even_d1_symmetry().rep_site
+    z2, v4 = cyclic(2), klein()
+    time_reversal = ProjectiveRep.build(z2, validate_hom_z2(z2, [0, 1]), [I2, I2])
+    pauli = ProjectiveRep.build(v4, trivial_hom(v4), [I2, SX, SY, SZ])
+    for bond in (time_reversal, pauli):
+        with pytest.raises(GroupMismatch):
+            OnSiteSymmetry(site, bond)
+
+
 def test_symmetry_phase_coboundary_consistency():
     """The lifted on-site cocycle equals the twisted coboundary of c."""
     for mps, sym in [
@@ -432,12 +548,7 @@ def test_symmetry_phase_coboundary_consistency():
     ]:
         phases = check_symmetry(mps, sym)
         group, p = sym.group, sym.twist
-        lifted = []
-        for g in group.elements():
-            f, _ = second_quantize(sym.rep_site.op(g)[0], p(g))
-            lifted.append(pair(f, p(g)))
-        lift_rep = ProjectiveRep(group, p, tuple(lifted))
-        u_f = cocycle_of_rep(lift_rep)
+        u_f = cocycle_of_rep(ProjectiveRep.build(group, p, second_quantize(sym.rep_site.mats)[0]))
         for g in group.elements():
             for h in group.elements():
                 cob = phases.c[g] * (

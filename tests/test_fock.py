@@ -75,6 +75,23 @@ def test_second_quantize_matches_per_minor_loop(d):
         assert np.abs(f - minor_loop(u)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_second_quantize_of_a_stack_equals_the_per_matrix_lifts(d):
+    """A (G, d, d) stack, and a stack with two leading axes, lift matrix by matrix."""
+    rng = np.random.default_rng(200 + d)
+    stack = np.stack([random_unitary(d, rng) for _ in range(6)])
+    for u in (stack, stack.reshape(2, 3, d, d)):
+        lifted, flag = second_quantize(u, 1)
+        assert lifted.shape == u.shape[:-2] + (1 << d, 1 << d) and flag == 1
+        singles = np.stack([second_quantize(m)[0] for m in stack])
+        assert np.abs(lifted.reshape(singles.shape) - singles).max() <= 1e-13
+
+
+def test_second_quantize_rejects_a_stack_with_one_nonunitary():
+    with pytest.raises(NotUnitary):
+        second_quantize(np.stack([np.eye(2), np.diag([1.0, 2.0]), np.eye(2)]))
+
+
 def test_second_quantize_rejects_nonunitary():
     with pytest.raises(NotUnitary):
         second_quantize(np.diag([1.0, 2.0]))

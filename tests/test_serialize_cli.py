@@ -258,6 +258,20 @@ def _flag_not_an_integer(data):
     data["U"][1]["flag"] = "yes"
 
 
+def _action_flags_out_of_range(data):
+    data.clear()
+    data.update(serialize.system_to_json(tr_system(0, SY, 1)))
+    data["action"][0]["flag"], data["action"][1]["flag"] = 2, -3  # 0 and 1 mod 2
+
+
+def _u_flag_two(data):
+    data["U"][1]["flag"] = 2
+
+
+def _w_flag_minus_four(data):
+    data["W"][0]["flag"] = -4
+
+
 def _q_key(data):
     data["q"] = {"values": [0, 1]}
 
@@ -357,6 +371,9 @@ _INPUTS = {
         ("fmps-validate", _bond_size_mismatch, "DimensionMismatch"),
         ("fmps-validate", _no_kind, "InvalidMPS"),
         ("fmps-symmetry", _flag_not_an_integer, "InvalidSystem"),
+        ("index", _action_flags_out_of_range, "InvalidSystem"),
+        ("fmps-symmetry", _u_flag_two, "InvalidSystem"),
+        ("fmps-symmetry", _w_flag_minus_four, "InvalidSystem"),
         ("fmps-symmetry", _q_key, "InvalidSystem"),
         ("cocycle-check", _phase_k_not_an_integer, "InvalidSystem"),
         ("cocycle-check", _phase_root_order_zero, "InvalidSystem"),
@@ -407,6 +424,24 @@ def test_malformed_input_gives_an_error_token(command, mutate, token, tmp_path, 
     else:
         assert code == 1
         assert json.loads(captured.out)["error"] == token
+
+
+@pytest.mark.parametrize(
+    "build, key, g, flag",
+    [
+        (lambda: serialize.system_to_json(tr_system(0, SY, 1)), "action", 1, 3),
+        (lambda: serialize.symmetry_to_json(majorana_symmetry()), "U", 1, 2),
+        (lambda: serialize.symmetry_to_json(majorana_symmetry()), "W", 0, -4),
+    ],
+    ids=["action", "U", "W"],
+)
+def test_a_flag_other_than_0_or_1_names_its_path(build, key, g, flag):
+    """A flag is 0 or 1: one equal to the twist mod 2 only is refused, at its path."""
+    data = build()
+    data[key][g]["flag"] = flag
+    reader = serialize.system_from_json if key == "action" else serialize.symmetry_from_json
+    with pytest.raises(InvalidSystem, match=rf"^{key}\[{g}\]\.flag must be 0 or 1, got {flag}$"):
+        reader(data)
 
 
 # one valid input per file-reading subcommand: (file builders, extra flags)

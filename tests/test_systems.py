@@ -45,13 +45,14 @@ from fspt.errors import (
 )
 from fspt.invariant import Z8_GENERATOR, Z8_IDENTITY, z8_decode
 from fspt.linalg import TOL, sign_match, vec
-from fspt.rep import adjoint_action, pair
+from fspt.rep import pair
 from fspt.system import GradedSystem
 from conftest import (
     I2,
     SX,
     SY,
     SZ,
+    adjoint_action,
     d4_grid,
     per_element_implementer,
     q8_grid,
@@ -479,7 +480,8 @@ def test_act_all_matches_the_action_of_each_element(rng):
         moved = rep.act_all(x)
         assert moved.shape == (rep.group.n,) + shape
         for g in rep.group.elements():
-            assert np.allclose(moved[g], adjoint_action(rep.op(g), x), rtol=0, atol=1e-12)
+            want = adjoint_action(rep.mats[g], rep.twist(g), x)
+            assert np.allclose(moved[g], want, rtol=0, atol=1e-12)
 
 
 # Each batched check must name the g that a loop over the elements stops at.
@@ -505,9 +507,10 @@ def _klein_r1_parts(planted):
 def _first_action_fault(algebra, gamma, action):
     """The element-by-element action check: the message at its first fault."""
     for g in action.group.elements():
-        moved = action.act(g, algebra.generators)
+        mat, flag = action.mats[g], action.twist(g)
+        moved = adjoint_action(mat, flag, algebra.generators)
         swap = gamma @ moved @ gamma
-        drift = swap - action.act(g, gamma @ algebra.generators @ gamma)
+        drift = swap - adjoint_action(mat, flag, gamma @ algebra.generators @ gamma)
         leaves = algebra.outside(moved)
         size = TOL * np.maximum(1.0, np.linalg.norm(vec(swap), axis=-1))
         mixes = np.linalg.norm(vec(drift), axis=-1) > size
@@ -540,7 +543,8 @@ def test_action_check_names_the_first_failing_element(planted):
 def test_sign_character_names_the_first_failing_element_of_many(mats, g):
     v4 = klein()
     rep = ProjectiveRep.build(v4, trivial_hom(v4), mats)
-    loop = next(h for h in v4.elements() if sign_match(rep.act(h, SZ), SZ) is None)
+    moved = [adjoint_action(m, 0, SZ) for m in rep.mats]
+    loop = next(h for h in v4.elements() if sign_match(moved[h], SZ) is None)
     error = "action of {g} sends the marker to neither +/- itself"
     with pytest.raises(GradingActionIndeterminate) as info:
         rep.sign_character(SZ, error)

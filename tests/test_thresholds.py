@@ -13,7 +13,6 @@ import fspt
 TOLERANCE_PARAMETERS = {"tol", "snap_tol", "rtol"}
 
 COMPARATORS = {
-    "in_span",
     "sign_match",
     "is_selfadjoint_unitary",
     "validate_cocycle",  # 1e-9 for inputs, linalg.TOL from cocycle_of_rep
