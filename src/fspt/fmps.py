@@ -303,7 +303,7 @@ class SymmetryPhases:
     q: Z2Hom | None          # odd kind: the parity sign of each fit
 
 
-def _fit_phases(lhs, rhs):
+def _least_squares_phases(lhs, rhs):
     """Least-squares c_g in lhs[g] = c_g rhs[g] for every g, with the relative residuals.
 
     Each sum is one BLAS dot per g, so it adds up as np.vdot and np.linalg.norm do."""
@@ -328,10 +328,10 @@ def check_symmetry(mps: FermionicMPS, sym: OnSiteSymmetry) -> SymmetryPhases:
     lift, _ = fock.second_quantize(sym.rep_site.mats)  # F_g, the Fock lift of U_g
     lhs = np.einsum("gmn,mij->gnij", lift, mps.v)  # sum_mu F_g[mu, nu] v_mu
     rhs = sym.rep_bond.act_all(mps.v)  # W_g v_nu W_g^-1
-    c, resid = _fit_phases(lhs, rhs)
+    c, resid = _least_squares_phases(lhs, rhs)
     if (signed := (resid > TOL) & (mps.kind == "odd")).any():
         signs = np.where(mps.site_parities() % 2, -1.0, 1.0)[:, None, None]
-        c_signed, resid_signed = _fit_phases(lhs * signs, rhs)
+        c_signed, resid_signed = _least_squares_phases(lhs * signs, rhs)
         c, resid = np.where(signed, c_signed, c), np.where(signed, resid_signed, resid)
     if (bad := resid > TOL).any():
         if mps.kind == "odd":
