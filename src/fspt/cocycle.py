@@ -1,28 +1,26 @@
 """Twisted U(1)-valued 2-cocycles on finite groups and their cohomology.
 
-An exact cocycle is an int64 exponent table on N-th roots of unity; a table
-with any floating entry is complex128 and checked with tolerance ``tol`` on
-every triple.  Elements g with twist p(g) = 1 act by complex conjugation.
-
-Equivalence is decided exactly: phases are snapped onto a root lattice Z_M
-and the coboundary condition becomes linear congruences mod M, whose matrix
-is eliminated once per (G, p, M); one product solves each right-hand side.
-|G| annihilates H^n(G, U(1)_p) (Brown, Cohomology of Groups, III.10), so for
-exact inputs the default modulus is complete and a False verdict is final;
-otherwise it holds only relative to Z_M.
+A cocycle is an int64 exponent table on the N-th roots of unity.  A floating
+table is checked within ``tol`` on every triple where it enters, then moved
+within its class onto the |G|-th roots and snapped (:func:`snap_cocycle`), so
+every later step is exact.  Elements g with twist p(g) = 1 act by complex
+conjugation.  Equivalence becomes linear congruences mod M on the root
+lattice Z_M, eliminated once per (G, p, M).  |G| annihilates H^n(G, U(1)_p)
+(Brown, Cohomology of Groups, III.10), so the default modulus is complete and
+its False verdict is final; a chosen modulus answers for Z_M only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import (
     CocycleIdentityFails,
-    MismatchedGroup,
+    GroupMismatch,
     NotNormalized,
     NotProjectiveRep,
     NotRootOfUnity,
@@ -35,20 +33,17 @@ from .phase import Phase
 from .rep import ProjectiveRep
 from .smith import Elimination, eliminate
 
-SNAP_TOL = 1e-8  # cohomologous, index_equal, z8_encode: the largest |v - root| snapped
-GAUGE_SNAP_TOL = 1e-6  # snap_cocycle: the same for cocycles of det-gauged implementers
+# snap_cocycle: the largest |v - root| snapped.  A table that passes the identity
+# check at tol has every defect within tol, and each normalized value is a |G|-th
+# root of a product of |G| defects, so it lies within tol of a |G|-th root (plus
+# rounding of order |G| ulps).  At tol <= TOL on |G| <= 16 that is 100 times
+# inside this cut, which is far inside half the root spacing, pi/16.
+SNAP_TOL = 1e-6
 
 
 def _check_order(N: int, what: str = "common root order") -> None:
     if 4 * N >= 2**63:  # the four-term defect of exponents below N must fit int64
         raise SizeTooLarge(f"{what} {N} is too large for int64 exponent arithmetic")
-
-
-def _roots(k: np.ndarray, N: int) -> np.ndarray:
-    """exp(2 pi i k / N), with -1 exact as in Phase.value."""
-    z = np.exp(2j * np.pi * (k / N))
-    z[2 * k == N] = -1.0
-    return z
 
 
 def _pack(values, shape: tuple, tol: float) -> tuple[np.ndarray, int]:
@@ -81,38 +76,25 @@ def _pack(values, shape: tuple, tol: float) -> tuple[np.ndarray, int]:
 class TwistedCocycle:
     """A table v: G x G -> U(1) satisfying the p-twisted cocycle identity.
 
-    ``table`` holds int64 exponents on the N-th roots, or complex128 values
-    with N = 0; :func:`validate_cocycle` reads any other table.
+    ``table`` holds int64 exponents on the N-th roots, N >= 1 the lcm of the
+    orders of the values; :func:`validate_cocycle` reads any other table.
     """
 
     group: FiniteGroup
     twist: Z2Hom
     table: np.ndarray
-    N: int = 0
+    N: int
 
     @property
     def n(self) -> int:
         return self.group.n
 
     def __call__(self, g: int, h: int) -> Phase:
-        if self.N:
-            return Phase.exact(int(self.table[g, h]), self.N)
-        return Phase(0, 0, complex(self.table[g, h]))
+        return Phase.exact(int(self.table[g, h]), self.N)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.N > 0
-
-    def values(self) -> np.ndarray:
-        """The complex128 table of all entries."""
-        return _roots(self.table, self.N) if self.N else self.table
-
-    def close_to(self, other: "TwistedCocycle", tol: float = 1e-9) -> bool:
-        if self.is_exact and other.is_exact:  # equal as reduced fractions k/N
-            g1, g2 = np.gcd(self.table, self.N), np.gcd(other.table, other.N)
-            same = np.array_equal(self.table // g1, other.table // g2)
-            return same and np.array_equal(self.N // g1, other.N // g2)
-        return bool(np.all(np.abs(self.values() - other.values()) <= tol))
+    def close_to(self, other: "TwistedCocycle") -> bool:
+        """Equal entry by entry; both tables are in lowest terms."""
+        return self.N == other.N and np.array_equal(self.table, other.table)
 
 
 def _exact(group, twist, table, N: int) -> TwistedCocycle:
@@ -122,37 +104,62 @@ def _exact(group, twist, table, N: int) -> TwistedCocycle:
     return TwistedCocycle(group, twist, table // g, N // g)
 
 
-def _checked(u: TwistedCocycle, tol: float = 1e-9) -> TwistedCocycle:
-    """Check normalization, then the twisted identity on every (f,g,h) at once."""
-    a, T, e = u.table, u.group.table, u.group.identity
-    ones = a == 0 if u.N else np.abs(a - 1.0) <= tol
-    bad = ~(ones[e, :] & ones[:, e])
+def _raise_first(group: FiniteGroup, ones: np.ndarray, fails: np.ndarray) -> None:
+    """NotNormalized at the first g where v(e,g) or v(g,e) is not 1, else
+    CocycleIdentityFails at the first (f,g,h) that fails."""
+    bad = ~(ones[group.identity, :] & ones[:, group.identity])
     if bad.any():
         g = int(np.argmax(bad))
         raise NotNormalized(f"v(e,{g}) or v({g},e) differs from 1")
-    if u.N:
-        s = (1 - 2 * u.twist.values)[:, None, None]  # (-1)^p(f) acting on exponents
-        fails = (s * a[None] + a[:, T] - a[:, :, None] - a[T]) % u.N != 0
-    else:
-        flip = (u.twist.values == 1)[:, None, None]
-        num = np.where(flip, a.conj()[None], a[None]) * a[:, T]
-        fails = ~(np.abs(num * (a[:, :, None] * a[T]).conj() - 1.0) <= tol)
     if fails.any():
         f, g, h = (int(i) for i in np.argwhere(fails)[0])
-        raise CocycleIdentityFails(
-            f"twisted cocycle identity fails at (f,g,h)=({f},{g},{h})"
-        )
+        raise CocycleIdentityFails(f"twisted cocycle identity fails at (f,g,h)=({f},{g},{h})")
+
+
+def _checked(u: TwistedCocycle) -> TwistedCocycle:
+    """Check normalization, then the twisted identity on every (f,g,h) at once."""
+    a, T = u.table, u.group.table
+    s = (1 - 2 * u.twist.values)[:, None, None]  # (-1)^p(f) acting on exponents
+    _raise_first(u.group, a == 0, (s * a[None] + a[:, T] - a[:, :, None] - a[T]) % u.N != 0)
     return u
 
 
 def validate_cocycle(
     group: FiniteGroup, twist: Z2Hom, values, tol: float = 1e-9
 ) -> TwistedCocycle:
-    """Check normalization and the twisted 2-cocycle identity."""
+    """Check normalization and the twisted 2-cocycle identity, exactly, or
+    within tol on every triple for a floating table, which snap_cocycle then
+    moves onto the |G|-th roots."""
     if not twist.group.same_as(group):
-        raise MismatchedGroup("twist lives on a different group")
-    table, N = _pack(values, (group.n, group.n), tol)
-    return _checked(TwistedCocycle(group, twist, table, N), tol)
+        raise GroupMismatch("twist lives on a different group")
+    a, N = _pack(values, (group.n, group.n), tol)
+    if N:
+        return _checked(TwistedCocycle(group, twist, a, N))
+    T = group.table
+    num = np.where((twist.values == 1)[:, None, None], a.conj()[None], a[None]) * a[:, T]
+    defect = num * (a[:, :, None] * a[T]).conj()
+    _raise_first(group, np.abs(a - 1.0) <= tol, ~(np.abs(defect - 1.0) <= tol))
+    return snap_cocycle(group, twist, a)
+
+
+def snap_cocycle(group: FiniteGroup, twist: Z2Hom, z: np.ndarray) -> TwistedCocycle:
+    """The exact cocycle on the |G|-th roots in the class of the unit table z.
+
+    With beta(g) = prod_k z(g,k), the twisted identity multiplied over k gives
+    z^|G| = d(beta) up to |G| defects, so z d(c) with c(g)^|G| = 1/beta(g) lies
+    on the |G|-th roots.  NotRootOfUnity if a value lies beyond SNAP_TOL of them.
+    """
+    n = group.n
+    phi = -np.angle(np.prod(z, axis=1)) / n  # c(g) = exp(i phi(g))
+    s = (1 - 2 * twist.values)[:, None]
+    w = z * np.exp(1j * (phi[:, None] + s * phi[None, :] - phi[group.table]))
+    k = np.rint(np.angle(w) * (n / (2 * np.pi))).astype(np.int64) % n
+    off = np.abs(np.exp(2j * np.pi * k / n) - w)
+    if (bad := off > SNAP_TOL).any():
+        g, h = (int(i) for i in np.argwhere(bad)[0])
+        raise NotRootOfUnity(f"v({g},{h}) = {z[g, h]:.12g} lies {off[g, h]:.1e} from the "
+                             f"{n}-th roots after normalization, beyond {SNAP_TOL:.1e}")
+    return _checked(_exact(group, twist, k, n))
 
 
 def trivial_cocycle(group: FiniteGroup, twist: Z2Hom | None = None) -> TwistedCocycle:
@@ -174,7 +181,7 @@ def epsilon_p(
     only the parity of k1 - k2 matters.
     """
     if not (q1.group.same_as(q2.group) and q1.group.same_as(p.group)):
-        raise MismatchedGroup("homomorphisms live on different groups")
+        raise GroupMismatch("homomorphisms live on different groups")
     k1, k2 = int(k1) % 2, int(k2) % 2
     dk = abs(k1 - k2)
     expo = np.outer(q1.values, q2.values) + np.outer(
@@ -185,9 +192,7 @@ def epsilon_p(
 
 def cocycle_product(u1: TwistedCocycle, u2: TwistedCocycle) -> TwistedCocycle:
     if not u1.group.same_as(u2.group) or not u1.twist.same_as(u2.twist):
-        raise MismatchedGroup("cocycles must share group and twist")
-    if not (u1.is_exact and u2.is_exact):
-        return _checked(TwistedCocycle(u1.group, u1.twist, u1.values() * u2.values()))
+        raise GroupMismatch("cocycles must share group and twist")
     N = lcm(u1.N, u2.N)
     _check_order(N)
     table = u1.table * (N // u1.N) + u2.table * (N // u2.N)
@@ -203,7 +208,9 @@ def _coboundary_exponents(x: np.ndarray, group: FiniteGroup, twist: Z2Hom) -> np
 
 
 def coboundary(b, group: FiniteGroup, twist: Z2Hom) -> TwistedCocycle:
-    """The twisted coboundary (g,h) -> b(g) conj^p(g)(b(h)) b(gh)^-1."""
+    """The twisted coboundary (g,h) -> b(g) conj^p(g)(b(h)) b(gh)^-1.
+
+    A floating b gives a floating table, validated and snapped like any other."""
     x, N = _pack(b, (group.n,), 1e-9)
     e = group.identity
     if not (x[e] == 0 if N else abs(x[e] - 1.0) <= 1e-9):
@@ -211,7 +218,7 @@ def coboundary(b, group: FiniteGroup, twist: Z2Hom) -> TwistedCocycle:
     if N:
         return _checked(_exact(group, twist, _coboundary_exponents(x, group, twist), N))
     xh = np.where((twist.values == 1)[:, None], x.conj()[None, :], x[None, :])
-    return _checked(TwistedCocycle(group, twist, x[:, None] * xh * x[group.table].conj()))
+    return validate_cocycle(group, twist, x[:, None] * xh * x[group.table].conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,30 +230,25 @@ class CocycleWitness:
     modulus: int
     b: tuple[Phase, ...]
 
-    def verify(
-        self, u1: TwistedCocycle, u2: TwistedCocycle, tol: float = 1e-9
-    ) -> bool:
-        shifted = cocycle_product(u1, coboundary(self.b, self.group, self.twist))
-        return shifted.close_to(u2, tol)
+    def verify(self, u1: TwistedCocycle, u2: TwistedCocycle) -> bool:
+        return cocycle_product(u1, coboundary(self.b, self.group, self.twist)).close_to(u2)
 
 
 def default_modulus(*cocycles: TwistedCocycle) -> int:
-    """|G| lcm(2, exact root orders), a complete lattice for exact cocycles."""
-    return cocycles[0].n * lcm(2, *(u.N for u in cocycles if u.is_exact))
+    """|G| lcm(2, root orders), a complete lattice."""
+    return cocycles[0].n * lcm(2, *(u.N for u in cocycles))
 
 
-def _on_lattice(u: TwistedCocycle, modulus: int, tol: float, error: str) -> np.ndarray:
-    """Exponents of u on the modulus-th roots; NotRootOfUnity(error) if off by > tol."""
+def _on_lattice(u: TwistedCocycle, modulus: int) -> np.ndarray:
+    """Exponents of u on the modulus-th roots; NotRootOfUnity where k/N is off Z_M."""
     _check_order(modulus, "root lattice modulus")
-    if u.is_exact and modulus % u.N == 0:
+    if modulus % u.N == 0:
         return u.table * (modulus // u.N)
-    z = u.values()
-    k = np.rint(np.angle(z) / (2 * np.pi) * modulus).astype(np.int64) % modulus
-    off = np.abs(_roots(k, modulus) - z) > tol
-    if off.any():
-        g, h = (int(i) for i in np.argwhere(off)[0])
-        raise NotRootOfUnity(error.format(g=g, h=h, value=u(g, h).value))
-    return k
+    g = gcd(u.N, modulus)  # k/N lies on Z_M exactly when N/g divides k
+    if (off := u.table % (u.N // g) != 0).any():
+        x, y = (int(i) for i in np.argwhere(off)[0])
+        raise NotRootOfUnity(f"v({x},{y}) = {u(x, y)} does not lie on the {modulus}-th roots")
+    return u.table // (u.N // g) * (modulus // g)
 
 
 @lru_cache(maxsize=128)
@@ -267,16 +269,13 @@ def cohomologous(
         x_g + (-1)^p(g) x_h - x_gh  =  a2(g,h) - a1(g,h)   (mod M),
 
     solved exactly: the cached elimination proposes x, A x = c (mod M) decides.
-    A False verdict on exact inputs at the default modulus is final, else lattice-relative.
+    A False verdict at the default modulus is final; at a chosen M it is about Z_M.
     """
     if not u1.group.same_as(u2.group) or not u1.twist.same_as(u2.twist):
-        raise MismatchedGroup("cocycles must share group and twist")
+        raise GroupMismatch("cocycles must share group and twist")
     group, p = u1.group, u1.twist
     m = modulus if modulus is not None else default_modulus(u1, u2)
-    error = ("v({g},{h}) = {value:.12g} does not lie on the "
-             f"{m}-th root lattice within {SNAP_TOL:.1e}")
-    a1, a2 = (_on_lattice(u, m, SNAP_TOL, error) for u in (u1, u2))
-    rhs = (a2 - a1) % m
+    rhs = (_on_lattice(u2, m) - _on_lattice(u1, m)) % m
 
     x = _coboundary_elimination(p, m).solve(rhs.ravel())
     if x is None:
@@ -287,36 +286,15 @@ def cohomologous(
     return True, CocycleWitness(group, p, m, b)
 
 
-def snap_cocycle(u: TwistedCocycle, modulus: int) -> TwistedCocycle:
-    """Replace floating phases by exact points of the modulus-th root lattice."""
-    error = "{value:.12g} is not a " + f"{modulus}-th root of unity within {GAUGE_SNAP_TOL:.1e}"
-    return _checked(
-        _exact(u.group, u.twist, _on_lattice(u, modulus, GAUGE_SNAP_TOL, error), modulus)
-    )
-
-
-def det_gauge_class(group: FiniteGroup, twist: Z2Hom, mats: np.ndarray) -> TwistedCocycle:
-    """The exact cocycle of the projective (anti-)unitaries V_g = mats[g] K^p(g).
-
-    One batched det rescales every V_g to det V_g = 1: the class stays, and
-    every v(g,h)^N = 1, N = dim, so the values snap exactly onto the N-th roots.
-    det^(1/N) fixes V_g only up to an N-th root of unity, so the class does
-    not depend on the phases the V_g came with but the representative does:
-    compare results with cohomologous, not entry by entry.
-    """
-    n = mats.shape[-1]
-    gauged = mats / np.exp(np.log(np.linalg.det(mats)) / n)[:, None, None]
-    gauged[group.identity] = np.eye(n)
-    return snap_cocycle(cocycle_of_rep(ProjectiveRep.build(group, twist, gauged)), n)
-
-
 def cocycle_of_rep(rep: ProjectiveRep) -> TwistedCocycle:
-    """Extract v(g,h) from V_g V_h = v(g,h) V_gh.
+    """Extract v(g,h) from V_g V_h = v(g,h) V_gh, exactly.
 
-    v(g,h) is read off as trace(V_g V_h (V_gh)^-1)/dim; the product must be
-    scalar within linalg.TOL or the input is not a projective representation.
+    v(g,h) is read off as trace(V_g V_h (V_gh)^-1)/dim, with V_e read as 1;
+    the product must be scalar within linalg.TOL or the input is not a
+    projective representation.  The table is validated within TOL and snapped.
     """
-    group, dim, M = rep.group, rep.dim, rep.mats
+    group, dim, M = rep.group, rep.dim, rep.mats.copy()
+    M[group.identity] = np.eye(dim)  # ProjectiveRep holds it within a cut of 1
     # V_g V_h V_gh^-1 = M_g conj^p(g)(M_h) M_gh^dag for every (g, h) at once
     flip = (rep.twist.values == 1)[:, None, None, None]
     back = M[:, None] @ np.where(flip, M.conj()[None], M[None])

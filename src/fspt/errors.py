@@ -46,10 +46,6 @@ class CocycleIdentityFails(DomainError):
     pass
 
 
-class MismatchedGroup(DomainError):
-    pass
-
-
 class NotRootOfUnity(DomainError):
     pass
 

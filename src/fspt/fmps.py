@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .cocycle import det_gauge_class
+from .cocycle import cocycle_of_rep
 from .errors import (
     DegenerateFixedPoint,
     DimensionMismatch,
@@ -325,7 +325,7 @@ def check_symmetry(mps: FermionicMPS, sym: OnSiteSymmetry) -> SymmetryPhases:
     """
     if sym.rep_site.dim != mps.d or sym.rep_bond.dim != mps.m:
         raise DimensionMismatch("symmetry dimensions do not match the MPS")
-    lift, _ = fock.second_quantize(sym.rep_site.mats)  # F_g, the Fock lift of U_g
+    lift = fock.second_quantize(sym.rep_site.mats)  # F_g, the Fock lift of U_g
     lhs = np.einsum("gmn,mij->gnij", lift, mps.v)  # sum_mu F_g[mu, nu] v_mu
     rhs = sym.rep_bond.act_all(mps.v)  # W_g v_nu W_g^-1
     c, resid = _least_squares_phases(lhs, rhs)
@@ -347,8 +347,8 @@ def fmps_index(mps: FermionicMPS, sym: OnSiteSymmetry) -> SPTIndex:
 
     kappa is the kind; q comes from the action on the bond grading (even)
     or from the per-element parity signs of check_symmetry (odd); the class
-    is that of the bond representation, exact, with a representative that
-    may move with the phases of the W_g (see det_gauge_class).
+    is that of the bond representation, exact, with a representative on the
+    |G|-th roots that may move with the phases of the W_g.
     """
     phases = check_symmetry(mps, sym)
     group = sym.group
@@ -359,4 +359,4 @@ def fmps_index(mps: FermionicMPS, sym: OnSiteSymmetry) -> SPTIndex:
     else:
         q = phases.q
         kappa = 1
-    return SPTIndex(kappa, q, det_gauge_class(group, sym.twist, sym.rep_bond.mats))
+    return SPTIndex(kappa, q, cocycle_of_rep(sym.rep_bond))

@@ -29,13 +29,13 @@ def parity_operator(d: int) -> np.ndarray:
     return np.diag(np.array(signs, dtype=complex))
 
 
-def second_quantize(u: np.ndarray, flag: int = 0) -> tuple[np.ndarray, int]:
+def second_quantize(u: np.ndarray) -> np.ndarray:
     """Lift d x d (anti-)unitaries, over any leading axes, to the 2^d-dimensional Fock space.
 
     Entry (mu, nu) is det(u[mu, nu]) when #mu = #nu and zero otherwise; the
     minors of each particle number k, of all u, come from one batched
-    determinant.  The flag passes through: for flag 1, the returned pair means
-    the minor matrix composed with entrywise conjugation in the Fock basis.
+    determinant.  An anti-unitary u K lifts to the minor matrix composed with
+    entrywise conjugation in the Fock basis.
     """
     u = np.asarray(u, dtype=complex)
     d = u.shape[-1]
@@ -52,7 +52,7 @@ def second_quantize(u: np.ndarray, flag: int = 0) -> tuple[np.ndarray, int]:
         # minors[..., a, b] = u[..., modes[a]][..., modes[b]]; a 0 x 0 minor has determinant 1
         minors = u[..., modes[:, None, :, None], modes[None, :, None, :]]
         out[(...,) + np.ix_(masks, masks)] = np.linalg.det(minors)
-    return out, int(flag) % 2
+    return out
 
 
 def matrix_unit(mu: int, nu: int, d: int) -> np.ndarray:

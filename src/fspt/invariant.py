@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import (
-    SNAP_TOL,
     TwistedCocycle,
     cocycle_product,
     cohomologous,
@@ -108,11 +107,10 @@ def z8_encode(index: SPTIndex) -> Z8Element:
     group = index.group
     if group.n != 2 or index.twist(1) != 1:
         raise NotTimeReversalShape("requires G = Z2 with p(1) = 1")
-    v = complex(index.cls.values()[1, 1])
-    sign = 1 if v.real > 0 else -1
-    if abs(v - sign) > SNAP_TOL:
-        raise NotTimeReversalShape(f"class value v(1,1) = {v:.6g} is not a sign")
-    return Z8Element(index.kappa % 2, index.q(1), sign)
+    v = index.cls(1, 1)
+    if v.N > 2:
+        raise NotTimeReversalShape(f"class value v(1,1) = {v.value:.6g} is not a sign")
+    return Z8Element(index.kappa % 2, index.q(1), 1 - 2 * v.k)
 
 
 def z8_compose(a: Z8Element, b: Z8Element) -> Z8Element:

@@ -62,10 +62,6 @@ class Phase:
             raise NotUnitPhase(f"{value!r:.80} is not a number") from None
 
     @property
-    def is_exact(self) -> bool:
-        return self.z is None
-
-    @property
     def value(self) -> complex:
         if self.z is not None:
             return self.z
@@ -76,7 +72,7 @@ class Phase:
         return cmath.exp(2j * math.pi * self.k / self.N)
 
     def close_to(self, other: "Phase", tol: float = 1e-9) -> bool:
-        if self.is_exact and other.is_exact:
+        if self.z is None and other.z is None:
             return (self.k, self.N) == (other.k, other.N)
         return abs(self.value - other.value) <= tol
 
@@ -84,7 +80,7 @@ class Phase:
         return self.close_to(Phase.one(), tol)
 
     def __repr__(self) -> str:
-        if self.is_exact:
+        if self.z is None:
             if self.N == 1:
                 return "Phase(1)"
             if self.N == 2:

@@ -81,11 +81,6 @@ class ProjectiveRep:
             raise GradingActionIndeterminate(error.format(g=int(np.argmin(plus | minus))))
         return (~plus).astype(int).tolist()
 
-    def rescaled(self, phases) -> "ProjectiveRep":
-        """Gauge change g -> lambda(g) V_g; phases[identity] must be 1."""
-        lam = np.asarray(phases, dtype=complex)[:, None, None]
-        return ProjectiveRep.build(self.group, self.twist, lam * self.mats)
-
     def conjugated(self, t: np.ndarray) -> "ProjectiveRep":
         """T V_g T^dag; the matrix becomes T M T^t where V_g is anti-unitary."""
         right = np.where((self.twist.values == 1)[:, None, None], t.T, t.conj().T)

@@ -91,7 +91,7 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def phase_to_json(p: Phase) -> dict:
-    if p.is_exact:
+    if p.z is None:
         return {"k": p.k, "N": p.N}
     return complex_to_json(p.value)
 

@@ -33,7 +33,7 @@ from .algebra import (
     implementers,
     require_one_orbit,
 )
-from .cocycle import det_gauge_class
+from .cocycle import cocycle_of_rep
 from .errors import (
     DimensionTooLarge,
     GroupMismatch,
@@ -183,7 +183,7 @@ def compute_index(sys: GradedSystem) -> SPTIndex:
     if (bad := resid > TOL * v.shape[0]).any():
         g = int(np.argmax(bad))
         raise MarkerNotFound(f"implementer for {g} fails to reproduce the action ({resid[g]:.2e})")
-    return SPTIndex(kappa, q, det_gauge_class(sys.group, sys.twist, w))
+    return SPTIndex(kappa, q, cocycle_of_rep(ProjectiveRep.build(sys.group, sys.twist, w)))
 
 
 def stack_systems(s1: GradedSystem, s2: GradedSystem) -> GradedSystem:

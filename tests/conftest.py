@@ -45,6 +45,12 @@ def adjoint_action(mat, flag, x):
     return mat @ (np.conj(x) if flag else x) @ mat.conj().T
 
 
+def rescaled(rep, phases):
+    """The gauge change g -> lambda(g) V_g of a ProjectiveRep; phases[identity] must be 1."""
+    lam = np.asarray(phases, dtype=complex)[:, None, None]
+    return ProjectiveRep.build(rep.group, rep.twist, lam * rep.mats)
+
+
 def per_element_implementer(v, op, flag=0):
     """The one-element Skolem-Noether step that algebra.implementers batches:
     W in M_N with V_a^dag op V_i^(flag) = W_ai M, and the residual of that

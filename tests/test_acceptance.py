@@ -41,7 +41,7 @@ from fspt import (
     z8_elements,
 )
 from fspt.algebra import algebra_closure, graded_tensor
-from fspt.cocycle import GAUGE_SNAP_TOL, SNAP_TOL
+from fspt.cocycle import SNAP_TOL
 from fspt.errors import SymmetryViolated
 from fspt.invariant import Z8_GENERATOR, Z8_IDENTITY
 from fspt.linalg import RANK_RTOL, TOL, nullspace_rows, onb_rows, vec
@@ -91,7 +91,7 @@ def test_criterion_1_z8_structure():
 
 def pin_index_thresholds():
     """The cuts compute_index and index_equal decide with."""
-    assert (TOL, RANK_RTOL, SNAP_TOL, GAUGE_SNAP_TOL) == (1e-8, 1e-9, 1e-8, 1e-6)
+    assert (TOL, RANK_RTOL, SNAP_TOL) == (1e-8, 1e-9, 1e-6)
 
 
 def test_criterion_2_group_law_consistency():

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -10,10 +11,12 @@ from fspt import (
     Phase,
     ProjectiveRep,
     all_z2_homs,
+    classify,
     coboundary,
     cocycle_of_rep,
     cocycle_product,
     cohomologous,
+    compute_index,
     cyclic,
     default_modulus,
     dihedral,
@@ -22,13 +25,16 @@ from fspt import (
     epsilon_p,
     klein,
     quaternion8,
+    stack_systems,
     trivial_cocycle,
     trivial_hom,
     validate_cocycle,
     validate_group,
     validate_hom_z2,
 )
+from fspt.algebra import implementers
 from fspt.cocycle import (
+    SNAP_TOL,
     TwistedCocycle,
     _check_order,
     _coboundary_elimination,
@@ -37,13 +43,23 @@ from fspt.cocycle import (
 )
 from fspt.errors import (
     CocycleIdentityFails,
-    MismatchedGroup,
+    GroupMismatch,
     NotNormalized,
     NotRootOfUnity,
     NotUnitPhase,
     SizeTooLarge,
 )
-from conftest import PAULI_REP, SY
+from conftest import (
+    PAULI_REP,
+    SY,
+    d4_grid,
+    q8_grid,
+    rescaled,
+    tr_grid,
+    twisted_klein_grid,
+    v4_trivial_grid,
+    z2_trivial_grid,
+)
 
 Z2 = cyclic(2)
 P_ID = validate_hom_z2(Z2, [0, 1])
@@ -56,14 +72,27 @@ def cocycle_defect(u, f, g, h):
 
     The scalar reference for the broadcast in validate_cocycle: exact
     Fraction angles when all four entries are exact, complex values otherwise.
+    u is a TwistedCocycle or a PhaseTable.
     """
     grp = u.group
     entries = (u(g, h), u(f, grp.mul(g, h)), u(f, g), u(grp.mul(f, g), h))
     powers = ((-1) ** u.twist(f), 1, -1, -1)
-    if all(x.is_exact for x in entries):
+    if all(x.z is None for x in entries):
         angle = sum(s * Fraction(x.k, x.N) for s, x in zip(powers, entries))
         return Phase.exact(angle.numerator, angle.denominator)
     return Phase.from_complex(np.prod([x.value ** s for s, x in zip(powers, entries)]))
+
+
+@dataclass(frozen=True)
+class PhaseTable:
+    """Phase records v(g,h) = rows[g][h] on (group, twist), exact or floating."""
+
+    group: object
+    twist: object
+    rows: object
+
+    def __call__(self, g, h):
+        return self.rows[g][h]
 
 
 def phase_table(group, entries):
@@ -161,7 +190,7 @@ def test_cocycle_product():
     assert cocycle_product(eps, eps).close_to(trivial_cocycle(Z2))
     ui = validate_cocycle(Z2, P_TRIV, phase_table(Z2, {(1, 1): Phase.exact(1, 4)}))
     assert cocycle_product(ui, ui)(1, 1) == Phase.minus_one()
-    with pytest.raises(MismatchedGroup):
+    with pytest.raises(GroupMismatch):
         cocycle_product(eps, trivial_cocycle(V4))
 
 
@@ -374,10 +403,40 @@ def test_cohomologous_distinguishes_classes():
 
 
 def test_not_root_of_unity_raises():
+    # exp(2 pi i / 3) is exact, and no 8th root of unity
+    u = validate_cocycle(Z2, P_TRIV, phase_table(Z2, {(1, 1): Phase.exact(1, 3)}))
+    with pytest.raises(NotRootOfUnity, match="8-th roots"):
+        cohomologous(u, trivial_cocycle(Z2), modulus=8)
+    assert cohomologous(u, trivial_cocycle(Z2))[0]  # the default lattice holds it
+
+
+def test_off_lattice_floating_table_is_cohomologous_to_trivial():
+    # any v(1,1) on untwisted Z2 is b(1)^2 for some b, on a lattice or not
     table = phase_table(Z2, {(1, 1): complex(np.exp(0.37j))})
     u = validate_cocycle(Z2, P_TRIV, table)
-    with pytest.raises(NotRootOfUnity):
-        cohomologous(u, trivial_cocycle(Z2), modulus=8)
+    assert u.close_to(trivial_cocycle(Z2))
+
+
+def test_a_table_beyond_the_snap_cut_raises_not_root_of_unity():
+    # with the twist, v(1,1) must be real: exp(1e-4 i) passes the identity at tol 1e-3,
+    # and normalization leaves it 1e-4 from the square roots of unity
+    table = phase_table(Z2, {(1, 1): complex(np.exp(1e-4j))})
+    with pytest.raises(NotRootOfUnity, match="after normalization"):
+        validate_cocycle(Z2, P_ID, table, tol=1e-3)
+    with pytest.raises(CocycleIdentityFails):
+        validate_cocycle(Z2, P_ID, table)
+    # just inside the cut it snaps to 1
+    inside = phase_table(Z2, {(1, 1): complex(np.exp(0.5j * SNAP_TOL))})
+    assert validate_cocycle(Z2, P_ID, inside, tol=1e-3).close_to(trivial_cocycle(Z2, P_ID))
+
+
+def test_identity_operator_within_the_cut_reads_as_one():
+    # ProjectiveRep holds M_e within 1e-8 dim of 1 (Frobenius): 1.5e-8 i on four
+    # diagonal entries is 3e-8.  Read as it stands, v(e,e) = exp(1.5e-8 i) would
+    # fail normalization at linalg.TOL.
+    mats = np.stack([np.exp(1.5e-8j) * np.eye(4), np.diag([1.0, -1.0, 1.0, -1.0])])
+    rep = ProjectiveRep.build(Z2, P_TRIV, mats)
+    assert cocycle_of_rep(rep).close_to(trivial_cocycle(Z2))
 
 
 def test_cocycle_of_rep_true_rep_trivial():
@@ -410,8 +469,7 @@ def test_rescaling_changes_by_coboundary(rng):
     lams = [Phase.one()] + [
         Phase.exact(int(k), modulus) for k in rng.integers(0, modulus, 3)
     ]
-    rescaled = rep.rescaled([p.value for p in lams])
-    u2 = cocycle_of_rep(rescaled)
+    u2 = cocycle_of_rep(rescaled(rep, [p.value for p in lams]))
     ok, _ = cohomologous(u, u2, modulus=modulus)
     assert ok
 
@@ -463,7 +521,7 @@ def object_array_pack(values, shape, tol):
             raise NotUnitPhase(f"|z| = {size[off][0]:.3e} deviates from 1 beyond {tol:.1e}")
         return raw / size, 0
     phases = [Phase.coerce(x, tol) for x in raw.flat]
-    if not all(p.is_exact for p in phases):
+    if any(p.z is not None for p in phases):
         return np.array([p.value for p in phases], dtype=complex).reshape(shape), 0
     N = lcm(*(p.N for p in phases))
     _check_order(N)
@@ -565,7 +623,8 @@ AGREEMENT_GROUPS = [cyclic(2), cyclic(4), klein(), dihedral(3), dihedral(4), qua
 
 
 def _agreement_table(group, twist, rng, kind, perturb):
-    """A coboundary-shifted sign cocycle as Phases, maybe with one entry off."""
+    """A coboundary-shifted sign cocycle as Phases, maybe with one entry off, and
+    the exact Phases it was rounded from (with the entry off if that one is exact)."""
     homs = all_z2_homs(group)
     q1, q2 = homs[rng.integers(len(homs))], homs[rng.integers(len(homs))]
     modulus = 4 * group.n
@@ -573,21 +632,22 @@ def _agreement_table(group, twist, rng, kind, perturb):
         epsilon(q1, q2, twist=twist),
         coboundary(_random_lattice_cochain(group, modulus, rng), group, twist),
     )
-    table = np.empty((group.n, group.n), dtype=object)
+    table, source = (np.empty((group.n, group.n), dtype=object) for _ in range(2))
     for g, h in itertools.product(group.elements(), repeat=2):
-        table[g, h] = u(g, h)
+        table[g, h] = source[g, h] = u(g, h)
         if kind == "floating" or (kind == "mixed" and rng.random() < 0.5):
             table[g, h] = Phase.from_complex(u(g, h).value)
     if perturb:
         others = [x for x in group.elements() if x != group.identity]
         g, h = others[rng.integers(len(others))], others[rng.integers(len(others))]
-        if table[g, h].is_exact:
+        if table[g, h].z is None:
             k, N = table[g, h].k, table[g, h].N
-            table[g, h] = Phase.exact(k * modulus + int(rng.integers(1, modulus)) * N, N * modulus)
+            off = k * modulus + int(rng.integers(1, modulus)) * N
+            table[g, h] = source[g, h] = Phase.exact(off, N * modulus)
         else:
             shift = complex(np.exp(1j * rng.uniform(1e-3, 1.0)))
             table[g, h] = Phase.from_complex(table[g, h].value * shift)
-    return table
+    return table, source
 
 
 @given(
@@ -598,23 +658,89 @@ def _agreement_table(group, twist, rng, kind, perturb):
 )
 @settings(max_examples=120, deadline=None)
 def test_validate_agrees_with_scalar_defects(gi, seed, kind, perturb):
+    """Exact tables are read entry by entry; valid floating and mixed tables land
+    in the class of the exact cocycle they were rounded from; a table that fails
+    raises at the first (f,g,h) the scalar reference finds."""
     group = AGREEMENT_GROUPS[gi]
     rng = np.random.default_rng(seed)
     for twist in all_z2_homs(group):
-        table = _agreement_table(group, twist, rng, kind, perturb)
-        shape = (group.n, group.n)
-        reference = TwistedCocycle(group, twist, *object_array_pack(table, shape, 1e-9))
+        table, source = _agreement_table(group, twist, rng, kind, perturb)
         first = next(
             (
                 fgh
                 for fgh in itertools.product(group.elements(), repeat=3)
-                if not cocycle_defect(reference, *fgh).is_one(1e-9)
+                if not cocycle_defect(PhaseTable(group, twist, table), *fgh).is_one(1e-9)
             ),
             None,
         )
-        if first is None:
-            assert validate_cocycle(group, twist, table).close_to(reference)
+        if first is None and kind == "exact":
+            reference = object_array_pack(table, (group.n, group.n), 1e-9)
+            assert validate_cocycle(group, twist, table).close_to(
+                TwistedCocycle(group, twist, *reference)
+            )
+        elif first is None:
+            read, exact = (validate_cocycle(group, twist, t) for t in (table, source))
+            ok, witness = cohomologous(read, exact)
+            assert ok and witness.verify(read, exact)
         else:
             with pytest.raises(CocycleIdentityFails) as err:
                 validate_cocycle(group, twist, table)
             assert str(first).replace(" ", "") in str(err.value)
+
+
+NORMALIZATION_GROUPS = [cyclic(2), cyclic(4), klein(), dihedral(3), dihedral(4), quaternion8()]
+
+
+@given(st.integers(0, len(NORMALIZATION_GROUPS) - 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_off_lattice_shift_of_a_sign_cocycle_lands_on_the_group_order_roots(gi, seed):
+    """eps d(b), b random phases (off every root lattice), under every twist, is
+    read onto the |G|-th roots and into the class of eps."""
+    group = NORMALIZATION_GROUPS[gi]
+    rng = np.random.default_rng(seed)
+    homs = all_z2_homs(group)
+    for twist in homs:
+        q1, q2 = homs[rng.integers(len(homs))], homs[rng.integers(len(homs))]
+        eps = epsilon(q1, q2, twist=twist)
+        b = np.exp(2j * np.pi * rng.random(group.n))
+        b[group.identity] = 1.0
+        bh = np.where((twist.values == 1)[:, None], b.conj()[None, :], b[None, :])
+        table = np.exp(2j * np.pi * eps.table / eps.N) * b[:, None] * bh / b[group.table]
+        u = validate_cocycle(group, twist, table)
+        assert group.n % u.N == 0
+        ok, witness = cohomologous(u, eps)
+        assert ok and witness.verify(u, eps)
+
+
+def det_gauge_class(group, twist, mats):
+    """The class representative compute_index printed before normalization onto the
+    |G|-th roots, kept as a reference: each V_g rescaled to det 1 (V_e to 1), so every
+    v(g,h) = tr(V_g V_h V_gh^-1)/dim is a dim-th root, snapped onto them."""
+    dim = mats.shape[-1]
+    gauged = mats / np.exp(np.log(np.linalg.det(mats)) / dim)[:, None, None]
+    gauged[group.identity] = np.eye(dim)
+    flip = (twist.values == 1)[:, None, None, None]
+    back = gauged[:, None] @ np.where(flip, gauged.conj()[None], gauged[None])
+    lam = np.trace(back @ gauged[group.table].conj().swapaxes(-1, -2), axis1=-2, axis2=-1) / dim
+    k = np.rint(np.angle(lam) * dim / (2 * np.pi)).astype(int) % dim
+    assert np.abs(np.exp(2j * np.pi * k / dim) - lam).max() <= 1e-6
+    return validate_cocycle(group, twist, [[Phase.exact(int(x), dim) for x in row] for row in k])
+
+
+@pytest.mark.parametrize(
+    "grid", [z2_trivial_grid, tr_grid, v4_trivial_grid, twisted_klein_grid, d4_grid, q8_grid]
+)
+def test_normalized_class_matches_the_det_gauge_on_stacked_cells(grid):
+    """On every stacked pair of a family's first four cells, the class compute_index
+    reads off the implementers equals the det gauge's class of the same implementers."""
+    cells = list(grid().values())[:4]
+    for s1, s2 in itertools.product(cells, repeat=2):
+        sysm = stack_systems(s1, s2)
+        kappa, _ = classify(sysm)
+        v = sysm.algebra.blocks[0]
+        if kappa:
+            v = np.concatenate([v, sysm.gamma @ v], axis=-1)
+        w, _ = implementers(v, sysm.action.mats, sysm.twist.values)
+        cls = compute_index(sysm).cls
+        assert sysm.group.n % cls.N == 0
+        assert cohomologous(cls, det_gauge_class(sysm.group, sysm.twist, w))[0]

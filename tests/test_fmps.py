@@ -27,7 +27,6 @@ from fspt import (
     validate_hom_z2,
 )
 from fspt import serialize
-from fspt.cocycle import cocycle_of_rep
 from fspt.errors import (
     DegenerateFixedPoint,
     DimensionMismatch,
@@ -52,6 +51,7 @@ from conftest import (
     majorana_mps,
     majorana_symmetry,
     random_unitary,
+    rescaled,
 )
 
 ALL_FIXTURES = [
@@ -372,7 +372,7 @@ def exhaustive_q(mps, sym):
     for q in all_z2_homs(sym.group):
         fits = True
         for g in sym.group.elements():
-            f, _ = second_quantize(sym.rep_site.mats[g])
+            f = second_quantize(sym.rep_site.mats[g])
             lhs = np.einsum("mn,mij->nij", f, mps.v) * (parity ** q(g))[:, None, None]
             rhs = adjoint_action(sym.rep_bond.mats[g], sym.twist(g), mps.v)
             c = np.vdot(rhs, lhs) / np.vdot(rhs, rhs)
@@ -437,7 +437,7 @@ def per_element_symmetry_fit(mps, sym):
     signs = np.where(mps.site_parities() % 2, -1.0, 1.0)[:, None, None]
     cs, resids, qs = [], [], []
     for g in sym.group.elements():
-        f, _ = second_quantize(sym.rep_site.mats[g])
+        f = second_quantize(sym.rep_site.mats[g])
         lhs = np.einsum("mn,mij->nij", f, mps.v)
         rhs = np.stack([adjoint_action(sym.rep_bond.mats[g], sym.twist(g), a) for a in mps.v])
         (c, resid), sign = _fit_phase(lhs, rhs), 0
@@ -540,7 +540,7 @@ def test_on_site_symmetry_needs_one_group_and_twist():
 
 
 def test_symmetry_phase_coboundary_consistency():
-    """The lifted on-site cocycle equals the twisted coboundary of c."""
+    """The lifted on-site cocycle tr(F_g F_h F_gh^-1)/dim equals the twisted coboundary of c."""
     for mps, sym in [
         (even_mps_d1(), even_d1_symmetry()),
         (even_mps_d2(), even_d2_symmetry()),
@@ -548,13 +548,14 @@ def test_symmetry_phase_coboundary_consistency():
     ]:
         phases = check_symmetry(mps, sym)
         group, p = sym.group, sym.twist
-        u_f = cocycle_of_rep(ProjectiveRep.build(group, p, second_quantize(sym.rep_site.mats)[0]))
+        f = second_quantize(sym.rep_site.mats)
         for g in group.elements():
             for h in group.elements():
-                cob = phases.c[g] * (
-                    np.conj(phases.c[h]) if p(g) else phases.c[h]
-                ) / phases.c[group.mul(g, h)]
-                assert u_f(g, h).value == pytest.approx(cob, abs=1e-8)
+                gh = group.mul(g, h)
+                f_h = np.conj(f[h]) if p(g) else f[h]
+                u_f = np.trace(f[g] @ f_h @ f[gh].conj().T) / len(f[g])
+                cob = phases.c[g] * (np.conj(phases.c[h]) if p(g) else phases.c[h]) / phases.c[gh]
+                assert u_f == pytest.approx(cob, abs=1e-8)
 
 
 def test_fmps_index_trivial_product_state():
@@ -581,12 +582,22 @@ def test_fmps_index_even_d1():
 
 def test_fmps_index_independent_of_bond_phases():
     mps, sym = even_mps_d1(), even_d1_symmetry()
-    rescaled = OnSiteSymmetry(sym.rep_site, sym.rep_bond.rescaled([1.0, np.exp(0.3j)]))
-    base, moved = fmps_index(mps, sym), fmps_index(mps, rescaled)
-    assert moved.cls.is_exact and moved.cls.close_to(base.cls)
+    moved_sym = OnSiteSymmetry(sym.rep_site, rescaled(sym.rep_bond, [1.0, np.exp(0.3j)]))
+    base, moved = fmps_index(mps, sym), fmps_index(mps, moved_sym)
+    assert moved.cls.close_to(base.cls)
     assert cohomologous(moved.cls, trivial_cocycle(cyclic(2)))[0]
     phases = serialize.index_to_json(moved)["cocycle"]["phases"]
     assert all(set(cell) == {"k", "N"} for row in phases for cell in row)
+
+
+def test_fmps_index_reads_a_bond_identity_within_the_cut_as_one():
+    """ProjectiveRep holds W_e within 1e-8 m of 1 (Frobenius); fmps_index reads it as
+    exactly 1, where v(e,e) = exp(1.4e-8 i) alone would fail normalization at TOL."""
+    mps, sym = even_mps_d1(), even_d1_symmetry()
+    mats = sym.rep_bond.mats.copy()
+    mats[sym.group.identity] = np.exp(1.4e-8j) * np.eye(mps.m)  # 1.98e-8 <= 2e-8 from 1
+    moved = OnSiteSymmetry(sym.rep_site, ProjectiveRep.build(sym.group, sym.twist, mats))
+    assert fmps_index(mps, moved).cls.close_to(fmps_index(mps, sym).cls)
 
 
 def test_fmps_index_cluster_class():

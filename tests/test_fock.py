@@ -11,19 +11,18 @@ from conftest import SX, random_unitary
 
 def test_second_quantize_single_mode_phase():
     theta = 0.73
-    f, flag = second_quantize(np.array([[np.exp(1j * theta)]]))
-    assert flag == 0
+    f = second_quantize(np.array([[np.exp(1j * theta)]]))
     assert np.allclose(f, np.diag([1.0, np.exp(1j * theta)]))
 
 
 def test_second_quantize_minus_identity_is_parity():
     for d in (1, 2, 3):
-        f, _ = second_quantize(-np.eye(d))
+        f = second_quantize(-np.eye(d))
         assert np.allclose(f, parity_operator(d))
 
 
 def test_second_quantize_mode_swap():
-    f, _ = second_quantize(SX)
+    f = second_quantize(SX)
     # basis order: {}, {1}, {2}, {1,2}; swap exchanges the single modes
     expect = np.zeros((4, 4), dtype=complex)
     expect[0, 0] = 1.0
@@ -37,9 +36,7 @@ def test_second_quantize_multiplicative(rng):
     for d in (2, 3):
         u = random_unitary(d, rng)
         v = random_unitary(d, rng)
-        fu, _ = second_quantize(u)
-        fv, _ = second_quantize(v)
-        fuv, _ = second_quantize(u @ v)
+        fu, fv, fuv = second_quantize(np.stack([u, v, u @ v]))
         assert np.linalg.norm(fu @ fv - fuv) < 1e-8
         assert np.linalg.norm(fu @ parity_operator(d) - parity_operator(d) @ fu) < 1e-10
 
@@ -48,9 +45,7 @@ def test_second_quantize_antiunitary_flag_composition(rng):
     # (F(M1) K)(F(M2) K) = F(M1) conj(F(M2)) must equal F(M1 conj(M2))
     d = 2
     m1, m2 = random_unitary(d, rng), random_unitary(d, rng)
-    f1, _ = second_quantize(m1, flag=1)
-    f2, _ = second_quantize(m2, flag=1)
-    f12, _ = second_quantize(m1 @ np.conj(m2))
+    f1, f2, f12 = second_quantize(np.stack([m1, m2, m1 @ np.conj(m2)]))
     assert np.linalg.norm(f1 @ np.conj(f2) - f12) < 1e-9
 
 
@@ -71,7 +66,7 @@ def test_second_quantize_matches_per_minor_loop(d):
     rng = np.random.default_rng(100 + d)
     for _ in range(3):
         u = random_unitary(d, rng)
-        f, _ = second_quantize(u)
+        f = second_quantize(u)
         assert np.abs(f - minor_loop(u)).max() <= 1e-12
 
 
@@ -81,9 +76,9 @@ def test_second_quantize_of_a_stack_equals_the_per_matrix_lifts(d):
     rng = np.random.default_rng(200 + d)
     stack = np.stack([random_unitary(d, rng) for _ in range(6)])
     for u in (stack, stack.reshape(2, 3, d, d)):
-        lifted, flag = second_quantize(u, 1)
-        assert lifted.shape == u.shape[:-2] + (1 << d, 1 << d) and flag == 1
-        singles = np.stack([second_quantize(m)[0] for m in stack])
+        lifted = second_quantize(u)
+        assert lifted.shape == u.shape[:-2] + (1 << d, 1 << d)
+        singles = np.stack([second_quantize(m) for m in stack])
         assert np.abs(lifted.reshape(singles.shape) - singles).max() <= 1e-13
 
 

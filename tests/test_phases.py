@@ -21,7 +21,7 @@ def test_value_special_points():
 def test_float_mode():
     z = cmath.exp(2j * cmath.pi * 3 / 8) * (1 + 1e-12)
     p = Phase.from_complex(z)
-    assert not p.is_exact
+    assert p.z is not None and p.close_to(Phase.exact(3, 8), 1e-11)
 
 
 def test_non_unit_rejected():

@@ -57,6 +57,7 @@ from conftest import (
     per_element_implementer,
     q8_grid,
     random_unitary,
+    rescaled,
     tr_grid,
     tr_group,
     tr_system,
@@ -165,6 +166,22 @@ def test_compute_index_tr_examples():
     idx = compute_index(tr_system(0, SY, 1))
     assert (idx.kappa, idx.q(1)) == (0, 1)
     assert idx.cls(1, 1).close_to(Phase.minus_one(), 1e-8)
+
+
+@pytest.mark.parametrize("label", ["[0;1,-]", "[1;1,-]"])
+def test_generator_scale_leaves_the_index(label):
+    """A generator scaled by 1e-200, 1 or 1e200 generates the same algebra, so the
+    index is the same, and no product overflows or underflows on the way."""
+    sysm = tr_grid()[label]
+    indices = []
+    for scale in (1e-200, 1.0, 1e200):
+        gens = sysm.algebra.generators.copy()
+        gens[-1] *= scale
+        indices.append(compute_index(system_from_generators(gens, sysm.gamma, sysm.action)))
+    for idx in indices:
+        assert (idx.kappa, idx.q(1)) == (indices[1].kappa, indices[1].q(1))
+        assert idx.cls.close_to(indices[1].cls)
+    assert z8_encode(indices[1]) == z8_encode(compute_index(sysm))
 
 
 def test_all_eight_tr_cells():
@@ -311,7 +328,6 @@ def test_z8_encode_requires_tr_shape():
 def test_z8_encode_reads_a_floating_sign():
     z2, pid = tr_group()
     cls = validate_cocycle(z2, pid, [[1, 1], [1, complex(-1.0, 1e-10)]])
-    assert not cls.is_exact
     assert z8_encode(SPTIndex(0, pid, cls)) == Z8Element(0, 1, -1)
 
 
@@ -373,7 +389,7 @@ def test_phase_gauge_invariance(rng):
     sysm = tr_system(0, SY, 1)
     base = compute_index(sysm)
     lam = np.exp(2j * np.pi * rng.random())
-    rep = sysm.action.rescaled([1.0, lam])
+    rep = rescaled(sysm.action, [1.0, lam])
     moved = GradedSystem(sysm.algebra, sysm.gamma, rep, form=sysm.form)
     assert index_equal(compute_index(moved), base)
 
@@ -381,13 +397,13 @@ def test_phase_gauge_invariance(rng):
 @pytest.mark.parametrize("grid", [v4_trivial_grid, twisted_klein_grid, d4_grid, q8_grid])
 def test_index_equal_under_random_action_phases(grid, rng):
     """Rescaling every V_g by a random phase keeps the index; the printed
-    representative may move, since det V_g = 1 fixes V_g up to an N-th root."""
+    representative may move, since c(g)^|G| = 1/beta(g) fixes c up to |G|-th roots."""
     cells = grid()
     for key in ((0, 1, 1), (1, 1, 1)):
         sysm = cells[key]
         lams = np.exp(2j * np.pi * rng.random(sysm.group.n))
         lams[sysm.group.identity] = 1.0
-        moved = GradedSystem(sysm.algebra, sysm.gamma, sysm.action.rescaled(lams))
+        moved = GradedSystem(sysm.algebra, sysm.gamma, rescaled(sysm.action, lams))
         assert index_equal(compute_index(moved), compute_index(sysm)), key
 
 

@@ -20,8 +20,6 @@ COMPARATORS = {
     "Phase.coerce",
     "Phase.close_to",
     "Phase.is_one",
-    "TwistedCocycle.close_to",
-    "CocycleWitness.verify",
 }
 
 
