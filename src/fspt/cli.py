@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .cocycle import cohomologous, default_modulus
+from .cocycle import cohomologous, default_modulus, read_cocycle
 from .errors import DomainError
 from .fmps import check_symmetry, density_matrix, expectation, fmps_index, transfer_matrix
 from .invariant import (
@@ -25,6 +25,7 @@ from .invariant import (
     z8_compose,
     z8_elements,
 )
+from .phase import Phase
 from .system import compute_index, stack_systems
 
 MODULUS_CAVEAT = (
@@ -61,13 +62,22 @@ def _cmd_cocycle_check(args) -> dict:
 
 
 def _cmd_cohomologous(args) -> dict:
-    u1 = serialize.cocycle_from_json(_load(args.infile))
-    u2 = serialize.cocycle_from_json(_load(args.infile2))
+    """The witness maps the tables as read: a floating table read as u = v d(c)
+    turns the exact b between u1 and u2 into c1 b / c2.  With --modulus each
+    table is snapped onto Z_M as it stands, so b is printed as found."""
+    (u1, c1), (u2, c2) = (
+        read_cocycle(*serialize.cocycle_cells_from_json(_load(path)), modulus=args.modulus)
+        for path in (args.infile, args.infile2)
+    )
     modulus = args.modulus or default_modulus(u1, u2)
     ok, witness = cohomologous(u1, u2, modulus=modulus)
     out = {"cohomologous": ok, "modulus": modulus}
     if ok:
-        out["witness"] = {"b": [serialize.phase_to_json(p) for p in witness.b]}
+        b = witness.b
+        if c1 is not None or c2 is not None:
+            shift = (1.0 if c1 is None else c1) / (1.0 if c2 is None else c2)
+            b = [Phase.from_complex(p.value * s) for p, s in zip(b, shift)]
+        out["witness"] = {"b": [serialize.phase_to_json(p) for p in b]}
     elif args.modulus:
         out["caveat"] = MODULUS_CAVEAT.replace("{M}", str(modulus))
     return out

@@ -2,7 +2,7 @@
 
 A cocycle is an int64 exponent table on the N-th roots of unity.  A floating
 table is checked within ``tol`` on every triple where it enters, then moved
-within its class onto the |G|-th roots and snapped (:func:`snap_cocycle`), so
+within its class onto the |G|-th roots and snapped (:func:`read_cocycle`), so
 every later step is exact.  Elements g with twist p(g) = 1 act by complex
 conjugation.  Equivalence becomes linear congruences mod M on the root
 lattice Z_M, eliminated once per (G, p, M).  |G| annihilates H^n(G, U(1)_p)
@@ -33,11 +33,11 @@ from .phase import Phase
 from .rep import ProjectiveRep
 from .smith import Elimination, eliminate
 
-# snap_cocycle: the largest |v - root| snapped.  A table that passes the identity
-# check at tol has every defect within tol, and each normalized value is a |G|-th
-# root of a product of |G| defects, so it lies within tol of a |G|-th root (plus
-# rounding of order |G| ulps).  At tol <= TOL on |G| <= 16 that is 100 times
-# inside this cut, which is far inside half the root spacing, pi/16.
+# snap_cocycle: the largest |v - root| snapped.  A table passing the identity check at
+# tol has every defect within tol; each normalized value is a |G|-th root of a product of
+# |G| defects, so within tol (plus order-|G| ulps) of a |G|-th root.  At tol <= TOL on
+# |G| <= 16 that is 100 times inside this cut, far inside half the root spacing, pi/16.
+# A table snapped onto a chosen Z_M as it stands must lie on it within the same cut.
 SNAP_TOL = 1e-6
 
 
@@ -124,42 +124,44 @@ def _checked(u: TwistedCocycle) -> TwistedCocycle:
     return u
 
 
-def validate_cocycle(
-    group: FiniteGroup, twist: Z2Hom, values, tol: float = 1e-9
-) -> TwistedCocycle:
-    """Check normalization and the twisted 2-cocycle identity, exactly, or
-    within tol on every triple for a floating table, which snap_cocycle then
-    moves onto the |G|-th roots."""
+def validate_cocycle(group: FiniteGroup, twist: Z2Hom, values, tol: float = 1e-9) -> TwistedCocycle:
+    """Check normalization and the twisted 2-cocycle identity (see read_cocycle)."""
+    return read_cocycle(group, twist, values, tol)[0]
+
+
+def read_cocycle(
+    group: FiniteGroup, twist: Z2Hom, values, tol: float = 1e-9, modulus: int | None = None
+) -> tuple[TwistedCocycle, np.ndarray | None]:
+    """The exact cocycle of a table, and the 1-cochain c that moved it (None if none did).
+
+    A floating table z is checked within tol on every triple, then snapped as it stands onto
+    the M-th roots, or with no modulus moved to z d(c), c(g)^|G| = 1/prod_k z(g,k): the twisted
+    identity multiplied over k gives z^|G| = d(prod_k z(., k)), so z d(c) is on the |G|-th roots."""
     if not twist.group.same_as(group):
         raise GroupMismatch("twist lives on a different group")
     a, N = _pack(values, (group.n, group.n), tol)
     if N:
-        return _checked(TwistedCocycle(group, twist, a, N))
+        return _checked(TwistedCocycle(group, twist, a, N)), None
     T = group.table
     num = np.where((twist.values == 1)[:, None, None], a.conj()[None], a[None]) * a[:, T]
     defect = num * (a[:, :, None] * a[T]).conj()
     _raise_first(group, np.abs(a - 1.0) <= tol, ~(np.abs(defect - 1.0) <= tol))
-    return snap_cocycle(group, twist, a)
+    if modulus:
+        return snap_cocycle(group, twist, a, modulus), None
+    phi = -np.angle(np.prod(a, axis=1)) / group.n  # c(g) = exp(i phi(g))
+    moved = a * np.exp(1j * _coboundary_exponents(phi, group, twist))
+    return snap_cocycle(group, twist, moved, group.n), np.exp(1j * phi)
 
 
-def snap_cocycle(group: FiniteGroup, twist: Z2Hom, z: np.ndarray) -> TwistedCocycle:
-    """The exact cocycle on the |G|-th roots in the class of the unit table z.
-
-    With beta(g) = prod_k z(g,k), the twisted identity multiplied over k gives
-    z^|G| = d(beta) up to |G| defects, so z d(c) with c(g)^|G| = 1/beta(g) lies
-    on the |G|-th roots.  NotRootOfUnity if a value lies beyond SNAP_TOL of them.
-    """
-    n = group.n
-    phi = -np.angle(np.prod(z, axis=1)) / n  # c(g) = exp(i phi(g))
-    s = (1 - 2 * twist.values)[:, None]
-    w = z * np.exp(1j * (phi[:, None] + s * phi[None, :] - phi[group.table]))
-    k = np.rint(np.angle(w) * (n / (2 * np.pi))).astype(np.int64) % n
-    off = np.abs(np.exp(2j * np.pi * k / n) - w)
+def snap_cocycle(group: FiniteGroup, twist: Z2Hom, z: np.ndarray, modulus: int) -> TwistedCocycle:
+    """The exact cocycle on the modulus-th roots nearest z; NotRootOfUnity beyond SNAP_TOL."""
+    k = np.rint(np.angle(z) * (modulus / (2 * np.pi))).astype(np.int64) % modulus
+    off = np.abs(np.exp(2j * np.pi * k / modulus) - z)
     if (bad := off > SNAP_TOL).any():
         g, h = (int(i) for i in np.argwhere(bad)[0])
-        raise NotRootOfUnity(f"v({g},{h}) = {z[g, h]:.12g} lies {off[g, h]:.1e} from the "
-                             f"{n}-th roots after normalization, beyond {SNAP_TOL:.1e}")
-    return _checked(_exact(group, twist, k, n))
+        raise NotRootOfUnity(f"v({g},{h}) lies {off[g, h]:.1e} from the {modulus}-th roots "
+                             f"(after any normalization), beyond {SNAP_TOL:.1e}")
+    return _checked(_exact(group, twist, k, modulus))
 
 
 def trivial_cocycle(group: FiniteGroup, twist: Z2Hom | None = None) -> TwistedCocycle:

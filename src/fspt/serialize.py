@@ -132,12 +132,17 @@ def cocycle_to_json(u: TwistedCocycle) -> dict:
     return {"group": group_to_json(u.group), "twist": hom_to_json(u.twist), "phases": phases}
 
 
-def cocycle_from_json(data) -> TwistedCocycle:
+def cocycle_cells_from_json(data) -> tuple[FiniteGroup, Z2Hom, list]:
+    """The group, twist and phase cells of a cocycle, as read; validate_cocycle checks them."""
     node = Field(data)
     group = group_from_json(node["group"])
     twist = hom_from_json(group, node["twist"])
-    values = [[phase_from_json(c) for c in row.items()] for row in node["phases"].items()]
-    return validate_cocycle(group, twist, values)
+    cells = [[phase_from_json(c) for c in row.items()] for row in node["phases"].items()]
+    return group, twist, cells
+
+
+def cocycle_from_json(data) -> TwistedCocycle:
+    return validate_cocycle(*cocycle_cells_from_json(data))
 
 
 def rep_to_json(rep: ProjectiveRep) -> list:

@@ -183,6 +183,7 @@ def compute_index(sys: GradedSystem) -> SPTIndex:
     if (bad := resid > TOL * v.shape[0]).any():
         g = int(np.argmax(bad))
         raise MarkerNotFound(f"implementer for {g} fails to reproduce the action ({resid[g]:.2e})")
+    w[sys.group.identity] = np.eye(w.shape[-1])  # the action holds V_e within its own cut of 1
     return SPTIndex(kappa, q, cocycle_of_rep(ProjectiveRep.build(sys.group, sys.twist, w)))
 
 

@@ -421,7 +421,7 @@ def test_a_table_beyond_the_snap_cut_raises_not_root_of_unity():
     # with the twist, v(1,1) must be real: exp(1e-4 i) passes the identity at tol 1e-3,
     # and normalization leaves it 1e-4 from the square roots of unity
     table = phase_table(Z2, {(1, 1): complex(np.exp(1e-4j))})
-    with pytest.raises(NotRootOfUnity, match="after normalization"):
+    with pytest.raises(NotRootOfUnity, match="from the 2-th roots"):
         validate_cocycle(Z2, P_ID, table, tol=1e-3)
     with pytest.raises(CocycleIdentityFails):
         validate_cocycle(Z2, P_ID, table)

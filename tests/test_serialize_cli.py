@@ -558,6 +558,84 @@ def test_cohomologous_cli_on_an_off_lattice_floating_table(tmp_path, capsys):
     assert run(["cohomologous", "--in", p1, "--in2", p2]) == 0
     out = json.loads(capture(capsys))
     assert out["cohomologous"] is True and out["modulus"] == 8 and "caveat" not in out
+    # the printed witness maps the table as read, not only its normalized representative
+    moved = shifted * coboundary_of(v4, witness_values(out))
+    assert np.abs(moved - (-1.0) ** eps.table).max() < 1e-9
+
+
+def witness_values(out):
+    return np.array([serialize.phase_from_json(p).value for p in out["witness"]["b"]])
+
+
+def coboundary_of(group, b, twist=None):
+    """b(g) conj^p(g)(b(h)) b(gh)^-1 as a complex table."""
+    flip = np.zeros(group.n, dtype=bool) if twist is None else np.asarray(twist) == 1
+    bh = np.where(flip[:, None], b.conj()[None, :], b[None, :])
+    return b[:, None] * bh / b[group.table]
+
+
+def test_cohomologous_cli_witness_maps_floating_tables_as_read(tmp_path, capsys):
+    """A floating table already on a lattice is still moved onto the |G|-th roots
+    when it is read; the printed witness must hold for the tables as written."""
+    z2 = cyclic(2)
+    one, cells = {"k": 0, "N": 1}, serialize.group_to_json(z2)
+    exact = {"group": cells, "twist": {"values": [0, 0]},
+             "phases": [[one, one], [one, {"k": 1, "N": 2}]]}
+    floating = copy.deepcopy(exact)
+    floating["phases"][1][1] = {"re": -1.0, "im": 0.0}  # the same table, as a number
+    p1, p2 = write(tmp_path, "u1.json", floating), write(tmp_path, "u2.json", exact)
+    table = np.array([[1, 1], [1, -1]])
+    for first, second in ((p1, p2), (p2, p1)):
+        assert run(["cohomologous", "--in", first, "--in2", second]) == 0
+        out = json.loads(capture(capsys))
+        assert out["cohomologous"] is True
+        assert np.abs(table * coboundary_of(z2, witness_values(out)) - table).max() < 1e-9
+    # twisted D3 (p = sign of the permutation), random floating shifts on both sides
+    from fspt import dihedral
+
+    rng = np.random.default_rng(7)
+    d3 = dihedral(3)
+    twist = [int(g >= 3) for g in range(6)]
+    p = validate_hom_z2(d3, twist)
+    tables, paths = [], []
+    for name in ("v1.json", "v2.json"):
+        b = np.exp(2j * np.pi * rng.random(6))
+        b[d3.identity] = 1.0
+        tables.append(coboundary_of(d3, b, twist))
+        data = serialize.cocycle_to_json(trivial_cocycle(d3, p))
+        data["phases"] = [[serialize.complex_to_json(z) for z in row] for row in tables[-1]]
+        paths.append(write(tmp_path, name, data))
+    assert run(["cohomologous", "--in", paths[0], "--in2", paths[1]]) == 0
+    out = json.loads(capture(capsys))
+    assert out["cohomologous"] is True and "caveat" not in out
+    moved = tables[0] * coboundary_of(d3, witness_values(out), twist)
+    assert np.abs(moved - tables[1]).max() < 1e-9
+
+
+def test_cohomologous_cli_modulus_reads_floating_tables_as_they_stand(tmp_path, capsys):
+    """--modulus M asks for a witness on Z_M between the tables as written: a floating
+    table on Z_M is snapped there entrywise, not moved onto the |G|-th roots, and a
+    floating table off Z_M is NotRootOfUnity."""
+    z3 = cyclic(3)
+    b = np.array([1.0, -1.0, -1.0])
+    shifted = b[:, None] * b[None, :] / b[z3.table]  # only +-1 entries, on Z_2
+    floating = serialize.cocycle_to_json(trivial_cocycle(z3))
+    floating["phases"] = [[serialize.complex_to_json(z) for z in row] for row in shifted]
+    p1 = write(tmp_path, "u1.json", floating)
+    p2 = write(tmp_path, "u2.json", serialize.cocycle_to_json(trivial_cocycle(z3)))
+    assert run(["cohomologous", "--in", p1, "--in2", p2, "--modulus", "2"]) == 0
+    out = json.loads(capture(capsys))
+    assert out["cohomologous"] is True and out["modulus"] == 2
+    assert all(p["N"] in (1, 2) for p in out["witness"]["b"])  # on Z_2, exact
+    assert np.abs(shifted * coboundary_of(z3, witness_values(out)) - 1.0).max() < 1e-9
+    # exp(0.37 i) d(b) lies on no Z_M; at the default lattice it is decided
+    off = shifted * coboundary_of(z3, np.exp(1j * np.array([0.0, 0.37, 0.74])))
+    floating["phases"] = [[serialize.complex_to_json(z) for z in row] for row in off]
+    p3 = write(tmp_path, "u3.json", floating)
+    assert run(["cohomologous", "--in", p3, "--in2", p2, "--modulus", "2"]) == 1
+    assert "NotRootOfUnity" in json.loads(capture(capsys))["error"]
+    assert run(["cohomologous", "--in", p3, "--in2", p2]) == 0
+    assert json.loads(capture(capsys))["cohomologous"] is True
 
 
 def test_cohomologous_cli_with_caveat(tmp_path, capsys):

@@ -142,6 +142,20 @@ def test_classify_two_fixed_blocks_centrality_violation():
         classify(sysm)
 
 
+def test_compute_index_reads_a_non_scalar_identity_within_the_cut_as_one():
+    """M2 (x) 1_2 with V_e = exp(i t sz) (x) 1_2: at t = 1.8e-8, ||V_e - 1|| = 2t is
+    inside the action's cut 1e-8 * 4, but its implementer on M2, exp(i t sz) with
+    ||W_e - 1|| = sqrt(2) t, is beyond ProjectiveRep's cut 1e-8 * 2; W_e is read as 1."""
+    z2 = cyclic(2)
+    t = 1.8e-8
+    v_e = np.kron(np.diag(np.exp([1j * t, -1j * t])), I2)
+    action = ProjectiveRep.build(z2, trivial_hom(z2), np.stack([v_e, np.kron(SZ, I2)]))
+    gens = [np.kron(g, I2) for g in full_matrix_algebra(2).generators]
+    index = compute_index(system_from_generators(gens, np.kron(SZ, I2), action))
+    assert index.kappa == 0 and list(index.q.values) == [0, 0]
+    assert index.cls.close_to(trivial_cocycle(z2))
+
+
 def test_classify_unbalanced_factor():
     """M3 graded by diag(1, 1, -1): the marker has trace 1, so A holds no odd
     self-adjoint unitary."""

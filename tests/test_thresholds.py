@@ -16,6 +16,7 @@ COMPARATORS = {
     "sign_match",
     "is_selfadjoint_unitary",
     "validate_cocycle",  # 1e-9 for inputs, linalg.TOL from cocycle_of_rep
+    "read_cocycle",  # validate_cocycle's tolerance, passed through
     "Phase.from_complex",  # validate_cocycle's tolerance, through Phase.coerce
     "Phase.coerce",
     "Phase.close_to",
